@@ -215,10 +215,28 @@ def angular_block(level_a, level_b, level_c, level_d, M: float) -> np.ndarray:
 
     Rows run over the (c,d) m-combinations, columns over (a,b), both in
     pair_m_states order. Multiply by the two radial integrals and the
-    1/d^3 prefactor to get energy matrix elements.
+    1/d^3 prefactor to get energy matrix elements. The block depends on
+    (L, J) per atom and M only, never on n: levels that differ only in n
+    share one cached, read-only array.
     """
-    cols = pair_m_states(level_a.J, level_b.J, M)
-    rows = pair_m_states(level_c.J, level_d.J, M)
+    return _angular_block_two(
+        level_a.L,
+        _two_j(level_a.J),
+        level_b.L,
+        _two_j(level_b.J),
+        level_c.L,
+        _two_j(level_c.J),
+        level_d.L,
+        _two_j(level_d.J),
+        _two_j(M),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _angular_block_two(La, tJa, Lb, tJb, Lc, tJc, Ld, tJd, tM) -> np.ndarray:
+    Ja, Jb, Jc, Jd = tJa / 2.0, tJb / 2.0, tJc / 2.0, tJd / 2.0
+    cols = pair_m_states(Ja, Jb, tM / 2.0)
+    rows = pair_m_states(Jc, Jd, tM / 2.0)
     block = np.zeros((len(rows), len(cols)))
     for i, (mc, md) in enumerate(rows):
         for k, (ma, mb) in enumerate(cols):
@@ -226,11 +244,12 @@ def angular_block(level_a, level_b, level_c, level_d, M: float) -> np.ndarray:
             w = _VDD_WEIGHT.get(round(q * 2) / 2)
             if w is None or abs(md - mb + q) > 1e-9:
                 continue
-            t1 = dipole_component(level_c.L, level_c.J, mc, level_a.L, level_a.J, ma)
+            t1 = dipole_component(Lc, Jc, mc, La, Ja, ma)
             if t1 == 0.0:
                 continue
-            t2 = dipole_component(level_d.L, level_d.J, md, level_b.L, level_b.J, mb)
+            t2 = dipole_component(Ld, Jd, md, Lb, Jb, mb)
             block[i, k] = w * t1 * t2
+    block.setflags(write=False)
     return block
 
 

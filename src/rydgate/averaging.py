@@ -22,6 +22,7 @@ and retrieval budget eta_c**2 is reported alongside, never folded in.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -85,9 +86,18 @@ def motional_dephasing(params: DephasingParams) -> float:
     return math.exp(-(t2 / tau**2) / (1.0 + t2 / xi**2))
 
 
+@functools.lru_cache(maxsize=None)
+def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, built once per order, read-only."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _gauss_average(curve, d11: float, sigma_um: float, nodes: int) -> float:
     """Gaussian-weighted mean of ``curve`` over separation, s > 0 only."""
-    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x, w = _hermgauss(nodes)
     s = d11 + math.sqrt(2.0) * sigma_um * x
     keep = s > 0.0
     if not np.any(keep):

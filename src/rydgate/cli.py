@@ -331,6 +331,10 @@ def _cmd_merit(args) -> int:
     ).write(os.path.join(outdir, "merit.manifest.json"))
     flagged = sum(1 for r in table if r[3])
     print(f"merit: {len(table)} rows -> {csv_path} ({flagged} resonance-flagged)")
+    n_err = sum(1 for st in status if st.startswith("error"))
+    if n_err:
+        print(f"merit: {n_err} row(s) failed; see manifest", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -345,6 +345,81 @@ def _first_shell_manifolds(
     return manifolds
 
 
+def _radial_gather(
+    species: AtomSpecies,
+    grid: GridSpec | None,
+    levels: list[RydbergLevel],
+    table: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
+) -> np.ndarray:
+    """``table[p, q]`` of radial integrals, filling each missing level pair once."""
+    for a, b in dict.fromkeys(zip(p.tolist(), q.tolist())):
+        if np.isnan(table[a, b]):
+            table[a, b] = table[b, a] = radial_matrix_element(species, levels[a], levels[b], grid)
+    return table[p, q]
+
+
+def _pair_hamiltonian(
+    species: AtomSpecies,
+    pair: PairState,
+    manifolds: list[tuple[RydbergLevel, RydbergLevel]],
+    d_um: float,
+    grid: GridSpec | None,
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Pair Hamiltonian in Hz relative to the initial pair energy.
+
+    The basis is every m-combination at ``pair.M`` of each manifold in
+    turn; returns the matrix and each manifold's (offset, length).
+    """
+    # Flatten to m-resolved basis states; record each manifold's slice.
+    offsets = []
+    energies = []
+    e_initial = pair_energy(species, pair.a, pair.b)
+    for pa, pb in manifolds:
+        states = pair_m_states(pa.J, pb.J, pair.M)
+        offsets.append((len(energies), len(states)))
+        energies.extend([pair_energy(species, pa, pb)] * len(states))
+    hamiltonian = np.diag(np.array(energies) - e_initial)
+
+    # V_dd couplings. A block depends only on the angular class (L, J per
+    # atom) of its two manifolds, so each class pair builds it once and
+    # writes all of its manifold pairs with one gather, and each radial
+    # integral is looked up once per level pair. The lower-index manifold
+    # is the source and every element is formed as scale * r1 * r2 * block.
+    classes: dict[tuple, list[int]] = {}
+    for idx, (pa, pb) in enumerate(manifolds):
+        classes.setdefault((pa.L, pa.J, pb.L, pb.J), []).append(idx)
+    level_index: dict[RydbergLevel, int] = {}
+    atoms = np.array(
+        [[level_index.setdefault(lv, len(level_index)) for lv in m] for m in manifolds]
+    )
+    levels = list(level_index)
+    radial = np.full((len(levels), len(levels)), np.nan)
+    starts = np.array([off for off, _ in offsets])
+    scale = C3_PREFACTOR_HZ_UM3 / d_um**3
+    for src in classes.values():
+        for dst in classes.values():
+            i, k = np.meshgrid(src, dst, indexing="ij")
+            below = i < k
+            if not below.any():
+                continue
+            pa, pb = manifolds[src[0]]
+            pc, pd = manifolds[dst[0]]
+            block = angular_block(pa, pb, pc, pd, pair.M)
+            if not block.any():
+                continue
+            i, k = i[below], k[below]
+            r1 = _radial_gather(species, grid, levels, radial, atoms[i, 0], atoms[k, 0])
+            r2 = _radial_gather(species, grid, levels, radial, atoms[i, 1], atoms[k, 1])
+            sub = (scale * r1 * r2)[:, None, None] * block
+            rows = starts[k][:, None] + np.arange(block.shape[0])
+            cols = starts[i][:, None] + np.arange(block.shape[1])
+            hamiltonian[rows[:, :, None], cols[:, None, :]] = sub
+            hamiltonian[cols[:, :, None], rows[:, None, :]] = sub.transpose(0, 2, 1)
+    return hamiltonian, offsets
+
+
 def pair_hamiltonian_shift(
     species: AtomSpecies,
     pair: PairState,
@@ -387,32 +462,8 @@ def pair_hamiltonian_shift(
     manifolds = _first_shell_manifolds(pair, max_delta_n, max_l)
     n_initial = 2 if pair.b != pair.a else 1
 
-    # Flatten to m-resolved basis states; record each manifold's slice.
-    offsets = []
-    energies = []
-    e_initial = pair_energy(species, pair.a, pair.b)
-    for pa, pb in manifolds:
-        states = pair_m_states(pa.J, pb.J, pair.M)
-        offsets.append((len(energies), len(states)))
-        energies.extend([pair_energy(species, pa, pb)] * len(states))
-    dim = len(energies)
-    hamiltonian = np.diag(np.array(energies) - e_initial)
-
-    scale = C3_PREFACTOR_HZ_UM3 / d_um**3
-    for i, (pa, pb) in enumerate(manifolds):
-        off_i, len_i = offsets[i]
-        for k in range(i + 1, len(manifolds)):
-            pc, pd = manifolds[k]
-            block = angular_block(pa, pb, pc, pd, pair.M)
-            if not block.any():
-                continue
-            r1 = radial_matrix_element(species, pa, pc, grid)
-            r2 = radial_matrix_element(species, pb, pd, grid)
-            off_k, len_k = offsets[k]
-            sub = scale * r1 * r2 * block
-            hamiltonian[off_k : off_k + len_k, off_i : off_i + len_i] = sub
-            hamiltonian[off_i : off_i + len_i, off_k : off_k + len_k] = sub.T
-
+    hamiltonian, offsets = _pair_hamiltonian(species, pair, manifolds, d_um, grid)
+    dim = len(hamiltonian)
     eigvals, eigvecs = np.linalg.eigh(hamiltonian)
 
     init_dim = sum(offsets[i][1] for i in range(n_initial))

@@ -108,17 +108,18 @@ def _inner_cutoff(n_star: float, L: int, has_core: bool) -> float:
 def _numerov_inward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Integrate w'' = g w inward over a uniform grid x, seeded at the tail."""
     h2 = (x[1] - x[0]) ** 2
-    f = 1.0 - (h2 / 12.0) * g
-    w = np.zeros_like(x)
-    w[-1] = 0.0
+    # Python floats, not numpy scalars: the same IEEE doubles, but the
+    # scalar recurrence runs several times faster on them.
+    f = (1.0 - (h2 / 12.0) * g).tolist()
+    w = [0.0] * len(x)
     w[-2] = 1e-12
     # w_{k-1} f_{k-1} = (12 - 10 f_k) w_k - f_{k+1} w_{k+1}
     for k in range(len(x) - 2, 0, -1):
         w[k - 1] = ((12.0 - 10.0 * f[k]) * w[k] - f[k + 1] * w[k + 1]) / f[k - 1]
         if abs(w[k - 1]) > 1e250:
-            w[: k + 1] /= 1e250
+            w[: k + 1] = [v / 1e250 for v in w[: k + 1]]
             w[k - 1] = ((12.0 - 10.0 * f[k]) * w[k] - f[k + 1] * w[k + 1]) / f[k - 1]
-    return w
+    return np.array(w)
 
 
 def _solve_on_grid(

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .averaging import averaged_fidelity, optimize_d11
 from .constants import TWOPI
-from .errors import RydgateError
+from .errors import ResonanceError, RydgateError
 from .gate import GateParams
 from .lengthscales import blockade_radii, figure_of_merit, radii_scan
 from .pair import PairState, forster_channels
@@ -296,9 +296,11 @@ def _merit_row(args):
     nan = float("nan")
     try:
         point = figure_of_merit(species, n, temperature)
-        return "ok", [n, point.merit, point.gamma_used, False]
-    except RydgateError:
+    except ResonanceError:
         return "ok", [n, nan, nan, True]
+    except RydgateError as exc:
+        return f"error: {type(exc).__name__}: {exc}", [n, nan, nan, False]
+    return "ok", [n, point.merit, point.gamma_used, False]
 
 
 def merit_rows(species: AtomSpecies, n_values, temperature: float, workers: int = 1):

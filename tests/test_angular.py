@@ -140,6 +140,16 @@ def test_angular_block_forbidden_transition_is_zero():
     np.testing.assert_array_equal(block, 0.0)
 
 
+def test_angular_block_is_cached_by_quantum_numbers():
+    """Levels that differ only in n share one cached, read-only block."""
+    block = angular_block(s_level(70), s_level(71), p_level(70), RydbergLevel(69, 1, 1.5), 0.0)
+    again = angular_block(s_level(40), s_level(55), p_level(62), RydbergLevel(41, 1, 1.5), 0.0)
+    assert again is block
+    assert block.any()
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+
+
 def _oracle_factor(level_a, level_b, level_c, level_d, M):
     cols = pair_m_states(level_a.J, level_b.J, M)
     rows = pair_m_states(level_c.J, level_d.J, M)

@@ -69,6 +69,28 @@ def test_merit_range(tmp_path):
     assert (out / "merit.svg").exists()
 
 
+def test_merit_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
+    from rydgate import sweeps
+    from rydgate.errors import NumericsError
+
+    real = sweeps.figure_of_merit
+
+    def diverges_at_61(species, n, temperature):
+        if n == 61:
+            raise NumericsError("inward solution diverges")
+        return real(species, n, temperature)
+
+    monkeypatch.setattr(sweeps, "figure_of_merit", diverges_at_61)
+    out = tmp_path / "merit_fail"
+    assert _run("merit", "--n", "60:61", "--workers", "1", "--out", str(out)) == 1
+    assert "1 row(s) failed" in capsys.readouterr().err
+    manifest = json.loads((out / "merit.manifest.json").read_text())
+    assert manifest["rows"] == ["ok", "error: NumericsError: inward solution diverges"]
+    _, rows = read_csv(out / "merit.csv")
+    assert rows[0][0] == "60" and float(rows[0][1]) > 0.0
+    assert rows[1] == ["61", "nan", "nan", "0"]
+
+
 # ---------------------------------------------------------------------------
 # fidelity
 

@@ -8,6 +8,7 @@ of both implementations. These are the slowest tests in the suite.
 
 import math
 
+import numpy as np
 import pytest
 
 from rydgate.constants import (
@@ -20,11 +21,14 @@ from rydgate.constants import (
     mhz_to_rad_s,
     rad_s_to_mhz,
 )
-from rydgate.angular import angular_factor
+from rydgate.angular import angular_block, angular_factor, pair_m_states
 from rydgate.errors import ResonanceError, RydgateError
 from rydgate.levels import RydbergLevel, p_level, s_level
 from rydgate.pair import (
+    DEFAULT_MAX_L,
     PairState,
+    _first_shell_manifolds,
+    _pair_hamiltonian,
     c3_coefficient,
     c6_branches,
     c6_coefficient,
@@ -230,6 +234,47 @@ def test_c6_branches_against_diagonalisation(species):
 
 # ---------------------------------------------------------------------------
 # direct diagonalisation cross-checks
+
+def _pair_hamiltonian_loop(species, pair, manifolds, d_um):
+    """The pair Hamiltonian filled one manifold pair at a time: the oracle
+    for the class-pair fill, which must give the same bits."""
+    offsets, energies = [], []
+    for pa, pb in manifolds:
+        states = pair_m_states(pa.J, pb.J, pair.M)
+        offsets.append((len(energies), len(states)))
+        energies.extend([pair_energy(species, pa, pb)] * len(states))
+    hamiltonian = np.diag(np.array(energies) - pair_energy(species, pair.a, pair.b))
+    scale = C3_PREFACTOR_HZ_UM3 / d_um**3
+    for i, (pa, pb) in enumerate(manifolds):
+        off_i, len_i = offsets[i]
+        for k in range(i + 1, len(manifolds)):
+            pc, pd = manifolds[k]
+            block = angular_block(pa, pb, pc, pd, pair.M)
+            if not block.any():
+                continue
+            r1 = radial_matrix_element(species, pa, pc)
+            r2 = radial_matrix_element(species, pb, pd)
+            off_k, len_k = offsets[k]
+            sub = scale * r1 * r2 * block
+            hamiltonian[off_k : off_k + len_k, off_i : off_i + len_i] = sub
+            hamiltonian[off_i : off_i + len_i, off_k : off_k + len_k] = sub.T
+    return hamiltonian
+
+
+@pytest.mark.parametrize(
+    "a, b, M, max_delta_n",
+    [
+        (s_level(70), p_level(70, 0.5), 0.0, 2),
+        (s_level(70), s_level(71), 1.0, 1),
+        (s_level(60), s_level(60), 0.0, 1),
+    ],
+)
+def test_pair_hamiltonian_matches_per_pair_loop(species, a, b, M, max_delta_n):
+    pair = PairState(a, b, M)
+    manifolds = _first_shell_manifolds(pair, max_delta_n, DEFAULT_MAX_L)
+    hamiltonian, _ = _pair_hamiltonian(species, pair, manifolds, 20.0, None)
+    assert np.array_equal(hamiltonian, _pair_hamiltonian_loop(species, pair, manifolds, 20.0))
+
 
 def test_shift_vanishes_at_large_separation(species):
     pair = PairState(s_level(70), s_level(71))

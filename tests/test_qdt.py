@@ -14,6 +14,7 @@ from rydgate.errors import RydgateError
 from rydgate.levels import RydbergLevel, p_level, parse_level, s_level
 from rydgate.qdt import (
     GridSpec,
+    _numerov_inward,
     effective_quantum_number,
     level_energy,
     lifetime,
@@ -163,6 +164,34 @@ def _numerov_linear(n_star, L, r_in, r_out, points):
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
     return r, u
+
+
+def _numerov_inward_numpy(x, g):
+    """The package's inward recurrence run on numpy scalars, with a count of
+    the 1e250 rescales it took. Oracle for the Python-float version."""
+    h2 = (x[1] - x[0]) ** 2
+    f = 1.0 - (h2 / 12.0) * g
+    w = np.zeros_like(x)
+    w[-2] = 1e-12
+    rescales = 0
+    for k in range(len(x) - 2, 0, -1):
+        w[k - 1] = ((12.0 - 10.0 * f[k]) * w[k] - f[k + 1] * w[k + 1]) / f[k - 1]
+        if abs(w[k - 1]) > 1e250:
+            rescales += 1
+            w[: k + 1] /= 1e250
+            w[k - 1] = ((12.0 - 10.0 * f[k]) * w[k] - f[k + 1] * w[k + 1]) / f[k - 1]
+    return w, rescales
+
+
+def test_numerov_inward_rescale_branch_matches_numpy_loop():
+    # A steep classically forbidden region: w grows by ~e^1260 inward.
+    x = np.linspace(1.0, 3.0, 2000)
+    g = 4e5 + 1e3 * x
+    oracle, rescales = _numerov_inward_numpy(x, g)
+    assert rescales >= 2
+    got = _numerov_inward(x, g)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, oracle)
 
 
 def _count_sign_changes(u):
