@@ -29,7 +29,7 @@ import numpy as np
 
 from .constants import K_BOLTZMANN
 from .errors import WindowError
-from .gate import GateParams, fidelity_curve, gate_fidelity_pointwise
+from .gate import GateParams, fidelity_curve
 from .lengthscales import blockade_radii
 
 __all__ = [
@@ -96,7 +96,12 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss_average(curve, d11: float, sigma_um: float, nodes: int) -> float:
-    """Gaussian-weighted mean of ``curve`` over separation, s > 0 only."""
+    """Gaussian-weighted mean of ``curve`` over separation, s > 0 only.
+
+    With no spread (sigma 0) that is the curve at d11 itself.
+    """
+    if sigma_um == 0.0:
+        return float(curve(np.asarray([d11]))[0])
     x, w = _hermgauss(nodes)
     s = d11 + math.sqrt(2.0) * sigma_um * x
     keep = s > 0.0
@@ -119,9 +124,7 @@ def site_average(curve, d11: float, r_b6_um: float, q: float):
         raise ValueError("d11 must be positive")
     if q < 0:
         raise ValueError("q must be non-negative")
-    if q == 0.0:
-        return float(np.asarray(curve(np.asarray([d11])))[0]), ()
-    if r_b6_um <= 0:
+    if q > 0.0 and r_b6_um <= 0:
         raise ValueError("r_b6 must be positive when q > 0")
     sigma = math.sqrt(2.0) * q * r_b6_um
     coarse = _gauss_average(curve, d11, sigma, SITE_AVERAGE_NODES)
@@ -164,21 +167,16 @@ def averaged_fidelity(params: GateParams, d11: float | None = None) -> AveragedF
     """Positional + motional average of the gate fidelity at one point."""
     d11 = params.d11 if d11 is None else d11
     scales = _radii_for(params)
-    w0 = params.q * scales.r_b6
-    if params.q == 0.0:
-        f0_avg = gate_fidelity_pointwise(params, d11).f0
-        warnings: tuple[str, ...] = ()
-        # w0 -> 0 limit of the dephasing envelope: the transit term
-        # t^2/xi^2 diverges and the exponent vanishes.
-        eta_m = 1.0
-    else:
-        curve = fidelity_curve(params)
-        f0_avg, warnings = site_average(curve, d11, scales.r_b6, params.q)
+    f0_avg, warnings = site_average(fidelity_curve(params), d11, scales.r_b6, params.q)
+    # At q = 0, the w0 -> 0 limit of the dephasing envelope: the transit
+    # term t^2/xi^2 diverges and the exponent vanishes.
+    eta_m = 1.0
+    if params.q > 0.0:
         eta_m = motional_dephasing(
             DephasingParams(
                 temperature=params.temperature,
                 mass_kg=params.mass_kg,
-                w0_um=w0,
+                w0_um=params.q * scales.r_b6,
                 lambda_sw_um=params.lambda_sw,
                 pulse_time=params.pulse_time,
             )
@@ -211,18 +209,11 @@ def optimize_d11(params: GateParams) -> tuple[float, AveragedFidelity]:
             f"r_mu = {scales.r_mu:.3f})"
         )
 
-    if params.q == 0.0:
-        curve = fidelity_curve(params)
+    curve = fidelity_curve(params)
+    sigma = math.sqrt(2.0) * params.q * scales.r_b6
 
-        def f0_avg_at(d):
-            return float(curve(np.asarray([d]))[0])
-
-    else:
-        curve = fidelity_curve(params)
-        sigma = math.sqrt(2.0) * params.q * scales.r_b6
-
-        def f0_avg_at(d):
-            return _gauss_average(curve, d, sigma, SITE_AVERAGE_NODES)
+    def f0_avg_at(d):
+        return _gauss_average(curve, d, sigma, SITE_AVERAGE_NODES)
 
     coarse = np.linspace(lo, hi, 25)
     coarse_vals = [f0_avg_at(d) for d in coarse]

@@ -16,25 +16,19 @@ Conversions between these scales happen once, at module boundaries.
 import math
 
 from scipy.constants import physical_constants as _pc
-from scipy.constants import c as SPEED_OF_LIGHT  # m/s
 from scipy.constants import h as PLANCK_H        # J s
 from scipy.constants import hbar as HBAR         # J s
 from scipy.constants import k as K_BOLTZMANN     # J/K
 from scipy.constants import e as E_CHARGE        # C
 from scipy.constants import epsilon_0 as EPS0    # F/m
 from scipy.constants import fine_structure as ALPHA_FS
-from scipy.constants import m_e as ELECTRON_MASS  # kg
 
 TWOPI = 2.0 * math.pi
 
 BOHR_RADIUS = _pc["Bohr radius"][0]  # m
-ATOMIC_MASS_U = _pc["atomic mass constant"][0]  # kg
 
 # Infinite-mass Rydberg constant as an ordinary frequency, Hz.
 RYDBERG_HZ_INF = _pc["Rydberg constant times c in Hz"][0]
-
-# Hartree as an ordinary frequency, Hz.
-HARTREE_HZ = 2.0 * RYDBERG_HZ_INF
 
 # e^2 a0^2 / (4 pi eps0 h): dipole-dipole prefactor for radial integrals in
 # units of a0^2, distances in um, energies as ordinary frequencies.
@@ -43,38 +37,8 @@ C3_PREFACTOR_HZ_UM3 = (
     E_CHARGE**2 * BOHR_RADIUS**2 / (4.0 * math.pi * EPS0 * PLANCK_H) * 1e18
 )
 
-# One atomic unit of C6 (Hartree * a0^6) expressed in GHz um^6.
-C6_AU_IN_GHZ_UM6 = HARTREE_HZ * 1e-9 * (BOHR_RADIUS * 1e6) ** 6
-
-# One atomic unit of C3 (Hartree * a0^3) expressed in GHz um^3.
-C3_AU_IN_GHZ_UM3 = HARTREE_HZ * 1e-9 * (BOHR_RADIUS * 1e6) ** 3
-
-
-def mass_corrected_rydberg_hz(mass_kg: float) -> float:
-    """Rydberg frequency for a finite nuclear mass, Hz."""
-    return RYDBERG_HZ_INF / (1.0 + ELECTRON_MASS / mass_kg)
-
-
-def c6_ghz_um6_to_au(c6: float) -> float:
-    return c6 / C6_AU_IN_GHZ_UM6
-
-
-def c6_au_to_ghz_um6(c6_au: float) -> float:
-    return c6_au * C6_AU_IN_GHZ_UM6
-
-
-def c3_ghz_um3_to_au(c3: float) -> float:
-    return c3 / C3_AU_IN_GHZ_UM3
-
-
-def c3_au_to_ghz_um3(c3_au: float) -> float:
-    return c3_au * C3_AU_IN_GHZ_UM3
-
 
 def mhz_to_rad_s(nu_mhz: float) -> float:
     """Ordinary frequency in MHz -> angular frequency in rad/s."""
     return TWOPI * 1e6 * nu_mhz
 
-
-def rad_s_to_mhz(omega: float) -> float:
-    return omega / (TWOPI * 1e6)

@@ -90,18 +90,13 @@ class ForsterChannel:
 
 @dataclasses.dataclass(frozen=True)
 class InteractionCoefficients:
-    """C6 with its channel decomposition and the truncation that made it.
-
-    ``c3_ghz_um3`` is populated only when the pair itself is dipole-coupled
-    (resonant exchange present); for van der Waals pairs it is None.
-    """
+    """C6 with its channel decomposition and the truncation that made it."""
 
     c6_ghz_um6: float
     channels: tuple[ForsterChannel, ...]
     max_delta_n: int
     max_l: int
     resonance_threshold_hz: float
-    c3_ghz_um3: float | None = None
 
     @property
     def dominant_channel(self) -> ForsterChannel:

@@ -117,8 +117,7 @@ def _numerov_inward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     for k in range(len(x) - 2, 0, -1):
         w[k - 1] = ((12.0 - 10.0 * f[k]) * w[k] - f[k + 1] * w[k + 1]) / f[k - 1]
         if abs(w[k - 1]) > 1e250:
-            w[: k + 1] = [v / 1e250 for v in w[: k + 1]]
-            w[k - 1] = ((12.0 - 10.0 * f[k]) * w[k] - f[k + 1] * w[k + 1]) / f[k - 1]
+            w = [v / 1e250 for v in w]
     return np.array(w)
 
 

@@ -3,8 +3,8 @@
 Rows are keyed by input index and evaluated on a process pool; every
 row function is pure, so output bytes are identical at any worker
 count.  Per-row failures (resonant channel sums, empty operating
-windows) are recorded in the row and in the run manifest instead of
-aborting the sweep.
+windows) are recorded in the row and in the run manifest, as
+``error: <Type>: <msg>``, instead of aborting the sweep.
 
 Unit conventions at this layer: GateParams fields are SI/internal
 (rad/s, K, um); the ``axis_value`` CSV column is written in display
@@ -81,7 +81,6 @@ class SweepSpec:
     axis: str
     values: tuple[float, ...]
     fixed: GateParams
-    outputs: tuple[str, ...] = FIDELITY_COLUMNS
     d11_mode: str = "opt"
     bbr_temperature: float = 0.0
 
@@ -93,9 +92,6 @@ class SweepSpec:
         diffs = np.diff(np.asarray(self.values, dtype=float))
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("axis values must be strictly monotone")
-        unknown = [c for c in self.outputs if c not in FIDELITY_COLUMNS]
-        if unknown or not self.outputs:
-            raise ValueError(f"unknown output columns {unknown}")
         if self.d11_mode not in ("opt", "fixed"):
             raise ValueError("d11_mode must be 'opt' or 'fixed'")
         if self.axis == "n":
@@ -162,6 +158,11 @@ def make_manifest(
         wall_clock_s=float(wall_clock_s),
         row_status=tuple(row_status),
     )
+
+
+def _error_status(exc: RydgateError) -> str:
+    """Status of a failed row; every command's failures start with 'error'."""
+    return f"error: {type(exc).__name__}: {exc}"
 
 
 def run_indexed(row_func, payloads, workers: int = 1) -> list:
@@ -254,7 +255,7 @@ def _fidelity_row(args):
             return "warning: " + "; ".join(avg.warnings), cells
         return "ok", cells
     except RydgateError as exc:
-        return f"error: {exc}", cells
+        return _error_status(exc), cells
 
 
 def fidelity_sweep(species: AtomSpecies, spec: SweepSpec, workers: int = 1):
@@ -262,10 +263,8 @@ def fidelity_sweep(species: AtomSpecies, spec: SweepSpec, workers: int = 1):
     results = run_indexed(
         _fidelity_row, [(species, spec, v) for v in spec.values], workers
     )
-    header = list(spec.outputs)
-    table = [[cells[c] for c in spec.outputs] for _, cells in results]
-    status = [s for s, _ in results]
-    return header, table, status
+    table = [[cells[c] for c in FIDELITY_COLUMNS] for _, cells in results]
+    return list(FIDELITY_COLUMNS), table, [s for s, _ in results]
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +273,11 @@ def fidelity_sweep(species: AtomSpecies, spec: SweepSpec, workers: int = 1):
 
 def _radii_row(args):
     species, n, omega = args
-    point = radii_scan(species, [n], omega)[0]
     nan = float("nan")
+    try:
+        point = radii_scan(species, [n], omega)[0]
+    except RydgateError as exc:
+        return _error_status(exc), [n, nan, nan, nan, False]
     cells = [
         point.n,
         nan if point.r_b6_cross_um is None else point.r_b6_cross_um,
@@ -299,7 +301,7 @@ def _merit_row(args):
     except ResonanceError:
         return "ok", [n, nan, nan, True]
     except RydgateError as exc:
-        return f"error: {type(exc).__name__}: {exc}", [n, nan, nan, False]
+        return _error_status(exc), [n, nan, nan, False]
     return "ok", [n, point.merit, point.gamma_used, False]
 
 
@@ -315,9 +317,12 @@ def _forster_row(args):
     from .levels import s_level
 
     pair = PairState(s_level(n), s_level(n + 1))
-    channels = forster_channels(
-        species, pair, max_delta_n=max_delta_n, max_l=max_l
-    )
+    try:
+        channels = forster_channels(
+            species, pair, max_delta_n=max_delta_n, max_l=max_l
+        )
+    except RydgateError as exc:
+        return _error_status(exc), []
     rows = []
     for ch in channels:
         if abs(ch.defect_hz) < threshold_hz:

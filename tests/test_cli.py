@@ -54,6 +54,28 @@ def test_radii_rerun_is_byte_identical(tmp_path):
     assert (out_a / "radii.svg").read_bytes() == (out_b / "radii.svg").read_bytes()
 
 
+def test_radii_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
+    from rydgate import sweeps
+    from rydgate.errors import NumericsError
+
+    real = sweeps.radii_scan
+
+    def diverges_at_61(species, n_values, omega):
+        if list(n_values) == [61]:
+            raise NumericsError("inward solution diverges")
+        return real(species, n_values, omega)
+
+    monkeypatch.setattr(sweeps, "radii_scan", diverges_at_61)
+    out = tmp_path / "radii_fail"
+    assert _run("radii", "--n", "60:61", "--workers", "1", "--out", str(out)) == 1
+    assert "radii: 1 row(s) failed" in capsys.readouterr().err
+    manifest = json.loads((out / "radii.manifest.json").read_text())
+    assert manifest["rows"] == ["ok", "error: NumericsError: inward solution diverges"]
+    _, rows = read_csv(out / "radii.csv")
+    assert rows[0][0] == "60" and float(rows[0][1]) > 0.0
+    assert rows[1] == ["61", "nan", "nan", "nan", "0"]
+
+
 # ---------------------------------------------------------------------------
 # merit
 
@@ -156,6 +178,28 @@ def test_forster_zero_threshold_header_only(tmp_path):
     assert _run("forster", "--n", "38:38", "--threshold-mhz", "0", "--out", str(out)) == 0
     text = (out / "forster.csv").read_text()
     assert text == ",".join(FORSTER_COLUMNS) + "\n"
+
+
+def test_forster_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
+    from rydgate import sweeps
+    from rydgate.errors import NumericsError
+
+    real = sweeps.forster_channels
+
+    def diverges_at_39(species, pair, **kwargs):
+        if pair.a.n == 39:
+            raise NumericsError("inward solution diverges")
+        return real(species, pair, **kwargs)
+
+    monkeypatch.setattr(sweeps, "forster_channels", diverges_at_39)
+    out = tmp_path / "forster_fail"
+    assert _run("forster", "--n", "38:39", "--workers", "1", "--out", str(out)) == 1
+    assert "forster: 1 row(s) failed" in capsys.readouterr().err
+    manifest = json.loads((out / "forster.manifest.json").read_text())
+    assert manifest["rows"] == ["ok", "error: NumericsError: inward solution diverges"]
+    header, rows = read_csv(out / "forster.csv")
+    assert rows
+    assert {dict(zip(header, row))["n"] for row in rows} == {"38"}
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from rydgate.constants import (
-    C3_PREFACTOR_HZ_UM3,
-    TWOPI,
-    c3_au_to_ghz_um3,
-    c3_ghz_um3_to_au,
-    c6_au_to_ghz_um6,
-    c6_ghz_um6_to_au,
-    mhz_to_rad_s,
-    rad_s_to_mhz,
-)
+from rydgate.constants import C3_PREFACTOR_HZ_UM3, TWOPI, mhz_to_rad_s
 from rydgate.angular import angular_block, angular_factor, pair_m_states
 from rydgate.errors import ResonanceError, RydgateError
 from rydgate.levels import RydbergLevel, p_level, s_level
@@ -43,10 +34,6 @@ from rydgate.qdt import radial_matrix_element
 # unit helpers
 
 def test_unit_conversion_round_trips():
-    for x in (1.0, -2.5, 1575.028, 3.2e-4):
-        assert c6_au_to_ghz_um6(c6_ghz_um6_to_au(x)) == pytest.approx(x, rel=1e-12)
-        assert c3_au_to_ghz_um3(c3_ghz_um3_to_au(x)) == pytest.approx(x, rel=1e-12)
-    assert rad_s_to_mhz(mhz_to_rad_s(0.7)) == pytest.approx(0.7, rel=1e-12)
     assert mhz_to_rad_s(1.0) == pytest.approx(TWOPI * 1e6, rel=1e-14)
 
 
@@ -148,7 +135,6 @@ def test_near_degenerate_channel_is_flagged(species):
 def test_c6_rb_70s_71s(species):
     coeffs = c6_coefficient(species, s_level(70), s_level(71))
     assert coeffs.c6_ghz_um6 == pytest.approx(1575.028270210703, rel=1e-6)
-    assert coeffs.c3_ghz_um3 is None
     assert coeffs.dominant_channel is coeffs.channels[0]
 
 

@@ -6,6 +6,7 @@ grid, so agreement is a genuine cross-check of the discretisation.
 """
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -166,32 +167,32 @@ def _numerov_linear(n_star, L, r_in, r_out, points):
     return r, u
 
 
-def _numerov_inward_numpy(x, g):
-    """The package's inward recurrence run on numpy scalars, with a count of
-    the 1e250 rescales it took. Oracle for the Python-float version."""
+def _numerov_inward_decimal(x, g):
+    """The inward recurrence in decimal arithmetic, whose exponent range
+    never overflows, so it needs no rescaling. Oracle for the float loop."""
     h2 = (x[1] - x[0]) ** 2
-    f = 1.0 - (h2 / 12.0) * g
-    w = np.zeros_like(x)
-    w[-2] = 1e-12
-    rescales = 0
+    f = [Decimal(v) for v in (1.0 - (h2 / 12.0) * g)]
+    w = [Decimal(0)] * len(x)
+    w[-2] = Decimal("1e-12")
     for k in range(len(x) - 2, 0, -1):
-        w[k - 1] = ((12.0 - 10.0 * f[k]) * w[k] - f[k + 1] * w[k + 1]) / f[k - 1]
-        if abs(w[k - 1]) > 1e250:
-            rescales += 1
-            w[: k + 1] /= 1e250
-            w[k - 1] = ((12.0 - 10.0 * f[k]) * w[k] - f[k + 1] * w[k + 1]) / f[k - 1]
-    return w, rescales
+        w[k - 1] = ((12 - 10 * f[k]) * w[k] - f[k + 1] * w[k + 1]) / f[k - 1]
+    return w
 
 
-def test_numerov_inward_rescale_branch_matches_numpy_loop():
+def test_numerov_inward_rescale_branch_matches_decimal_oracle():
     # A steep classically forbidden region: w grows by ~e^1260 inward.
     x = np.linspace(1.0, 3.0, 2000)
     g = 4e5 + 1e3 * x
-    oracle, rescales = _numerov_inward_numpy(x, g)
-    assert rescales >= 2
+    oracle = _numerov_inward_decimal(x, g)
+    peak = max(abs(v) for v in oracle)
     got = _numerov_inward(x, g)
     assert got.dtype == np.float64
-    assert np.array_equal(got, oracle)
+    # The true solution spans more than 1e500 while every float value stays
+    # at most 1e251, so the 1e250 rescale branch ran at least twice.
+    assert peak / abs(oracle[-2]) > Decimal("1e500")
+    assert np.max(np.abs(got)) <= 1e251
+    shape = np.array([float(v / peak) for v in oracle])
+    assert np.max(np.abs(got / np.max(np.abs(got)) - shape)) < 1e-12
 
 
 def _count_sign_changes(u):
