@@ -62,15 +62,12 @@ from .lengthscales import (
     RadiiPoint,
     blockade_radii,
     figure_of_merit,
-    radii_scan,
+    radii_point,
 )
 from .gate import (
-    ComponentAmplitude,
     GateParams,
-    GateResult,
-    component_evolution,
+    component_amplitudes,
     fidelity_curve,
-    gate_fidelity_pointwise,
     two_level_pulse,
     two_level_pulse_ode,
 )

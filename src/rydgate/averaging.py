@@ -30,7 +30,6 @@ import numpy as np
 from .constants import K_BOLTZMANN
 from .errors import WindowError
 from .gate import GateParams, fidelity_curve
-from .lengthscales import blockade_radii
 
 __all__ = [
     "SITE_AVERAGE_NODES",
@@ -154,19 +153,10 @@ class AveragedFidelity:
     warnings: tuple[str, ...] = ()
 
 
-def _radii_for(params: GateParams):
-    return blockade_radii(
-        params.c3_ghz_um3,
-        params.c6_ghz_um6,
-        params.omega_eit_resolved,
-        params.omega_mu,
-    )
-
-
 def averaged_fidelity(params: GateParams, d11: float | None = None) -> AveragedFidelity:
     """Positional + motional average of the gate fidelity at one point."""
     d11 = params.d11 if d11 is None else d11
-    scales = _radii_for(params)
+    scales = params.lengthscales
     f0_avg, warnings = site_average(fidelity_curve(params), d11, scales.r_b6, params.q)
     # At q = 0, the w0 -> 0 limit of the dephasing envelope: the transit
     # term t^2/xi^2 diverges and the exponent vanishes.
@@ -199,7 +189,7 @@ def optimize_d11(params: GateParams) -> tuple[float, AveragedFidelity]:
     empty.  eta_m does not depend on d11, so the scan maximises f0_avg;
     a coarse grid seeds a bounded scalar minimisation refined to 1e-3 um.
     """
-    scales = _radii_for(params)
+    scales = params.lengthscales
     lo = 0.8 * scales.window[0]
     hi = 1.2 * scales.window[1]
     if not lo < hi:

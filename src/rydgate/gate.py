@@ -29,17 +29,17 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .constants import TWOPI
+from .lengthscales import Lengthscales, _level_system, blockade_radii
+from .pair import c3_coefficient, c6_coefficient
+from .qdt import lifetime
 from .species import AtomSpecies
 
 __all__ = [
     "COMPONENT_LABELS",
     "GateParams",
-    "ComponentAmplitude",
-    "GateResult",
     "two_level_pulse",
     "two_level_pulse_ode",
-    "component_evolution",
-    "gate_fidelity_pointwise",
+    "component_amplitudes",
     "fidelity_curve",
 ]
 
@@ -105,9 +105,11 @@ class GateParams:
         return self.omega_c if self.omega_eit is None else self.omega_eit
 
     @property
-    def d_far_resolved(self) -> float:
-        """Separation of non-interacting site pairs; defaults to 5 * d11."""
-        return DEFAULT_D_FAR_FACTOR * self.d11 if self.d_far is None else self.d_far
+    def lengthscales(self) -> Lengthscales:
+        """Radii and gate window of this working point, against omega_eit_resolved."""
+        return blockade_radii(
+            self.c3_ghz_um3, self.c6_ghz_um6, self.omega_eit_resolved, self.omega_mu
+        )
 
     @property
     def pulse_time(self) -> float:
@@ -136,10 +138,6 @@ class GateParams:
         distinct from the motional ``temperature`` driving dephasing.
         Keyword extras pass through to the constructor.
         """
-        from .lengthscales import _level_system
-        from .pair import c3_coefficient, c6_coefficient
-        from .qdt import lifetime
-
         control, target, aux = _level_system(n)
         return cls(
             n=n,
@@ -158,40 +156,24 @@ class GateParams:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class ComponentAmplitude:
-    """Return amplitude of one two-qubit component after the pulse."""
+def two_level_pulse(omega_mu, delta_p, delta_r, gamma_r, gamma_p, duration):
+    """Return amplitude of |r> after driving |r> <-> |p> for ``duration``.
 
-    label: str
-    amplitude: complex
+    Coupling omega_mu and detunings delta_r (on |r>), delta_p (on |p>)
+    in rad/s; decay rates in 1/s. A resonant lossless pulse of duration
+    2 pi / omega_mu returns exactly -1. Vectorised over the detunings.
 
-
-@dataclasses.dataclass(frozen=True)
-class GateResult:
-    """Four component amplitudes and the pointwise fidelity they give."""
-
-    amplitudes: tuple[ComponentAmplitude, ...]
-    f0: float
-    pulse_time: float
-
-    def amplitude(self, label: str) -> complex:
-        for comp in self.amplitudes:
-            if comp.label == label:
-                return comp.amplitude
-        raise KeyError(label)
-
-
-def _pulse_amplitude(omega_mu, delta_p, delta_r, gamma_r, gamma_p, duration):
-    """Closed-form |r> amplitude of the damped two-level rotation.
-
-    i dc/dt = M c with M = [[delta_r - i gamma_r/2, omega_mu/2],
-                            [omega_mu/2, delta_p - i gamma_p/2]],
-    c(0) = (1, 0). exp(-iMt) in terms of the complex generalized Rabi
+    Closed form of i dc/dt = M c with
+    M = [[delta_r - i gamma_r/2, omega_mu/2], [omega_mu/2, delta_p - i gamma_p/2]],
+    c(0) = (1, 0): exp(-iMt) in terms of the complex generalized Rabi
     rate lambda = sqrt((Delta/2)^2 + (omega_mu/2)^2), Delta = z_p - z_r.
-    Vectorised over the detuning arguments.
     """
-    z_r = np.asarray(delta_r, dtype=complex) - 0.5j * gamma_r
-    z_p = np.asarray(delta_p, dtype=complex) - 0.5j * gamma_p
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    shape = np.broadcast_shapes(np.shape(delta_p), np.shape(delta_r))
+    # at least 1-d, so scalar calls run the same numpy loops as array calls
+    z_r = np.array(delta_r, dtype=complex, ndmin=1) - 0.5j * gamma_r
+    z_p = np.array(delta_p, dtype=complex, ndmin=1) - 0.5j * gamma_p
     center = 0.5 * (z_r + z_p)
     half_gap = 0.5 * (z_p - z_r)
     lam = np.sqrt(half_gap**2 + 0.25 * omega_mu**2)
@@ -203,26 +185,7 @@ def _pulse_amplitude(omega_mu, delta_p, delta_r, gamma_r, gamma_p, duration):
     amp = np.exp(-1j * center * duration) * (
         np.cos(phase) + 1j * half_gap * duration * sinc
     )
-    return amp
-
-
-def two_level_pulse(
-    omega_mu: float,
-    delta_p: float,
-    delta_r: float,
-    gamma_r: float,
-    gamma_p: float,
-    duration: float,
-) -> complex:
-    """Return amplitude of |r> after driving |r> <-> |p> for ``duration``.
-
-    Coupling omega_mu and detunings delta_r (on |r>), delta_p (on |p>)
-    in rad/s; decay rates in 1/s. A resonant lossless pulse of duration
-    2 pi / omega_mu returns exactly -1.
-    """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    return complex(_pulse_amplitude(omega_mu, delta_p, delta_r, gamma_r, gamma_p, duration))
+    return amp.reshape(shape)[()]
 
 
 def two_level_pulse_ode(
@@ -259,10 +222,14 @@ def two_level_pulse_ode(
     return complex(sol.y[0, -1])
 
 
-def _component_amplitudes(params: GateParams, d11) -> np.ndarray:
-    """Stacked amplitudes for the four components, vectorised over d11.
+def component_amplitudes(params: GateParams, d11) -> np.ndarray:
+    """Amplitudes of the four components after the pulse, vectorised over d11.
 
-    Returns shape (4,) + shape(d11) in COMPONENT_LABELS order.
+    Returns shape (4,) + shape(d11) in COMPONENT_LABELS order. Component
+    "11" sits at the control-target separation d11; the other three sit
+    at d_far, which is 5 * d11 unless pinned. The control spectator decay
+    exp(-gamma_rp t / 2) multiplies every component (each component
+    stores one control excitation somewhere).
     """
     d11 = np.asarray(d11, dtype=float)
     if np.any(d11 <= 0):
@@ -271,69 +238,29 @@ def _component_amplitudes(params: GateParams, d11) -> np.ndarray:
     c3_hz = params.c3_ghz_um3 * 1e9
     c6_hz = params.c6_ghz_um6 * 1e9
     spectator = np.exp(-0.5 * params.gamma_rp * duration)
-    # far pairs scale with the trial separation unless pinned explicitly
-    d_far = DEFAULT_D_FAR_FACTOR * d11 if params.d_far is None else np.full_like(d11, params.d_far)
 
-    out = []
-    for label in COMPONENT_LABELS:
-        d = d11 if label == "11" else d_far
+    def stored(d):
         delta_p = TWOPI * c3_hz / d**3
         delta_r = TWOPI * c6_hz / d**6
-        amp = _pulse_amplitude(
+        return spectator * two_level_pulse(
             params.omega_mu, delta_p, delta_r, params.gamma_r, params.gamma_p, duration
         )
-        out.append(spectator * amp)
-    return np.stack(out)
 
-
-def component_evolution(label: str, params: GateParams, d: float | None = None) -> ComponentAmplitude:
-    """Amplitude of one component after the pulse at separation ``d``.
-
-    ``d`` defaults to d11 for label "11" and to d_far otherwise; the
-    control spectator decay exp(-gamma_rp t / 2) is included for every
-    component (each component stores one control excitation somewhere).
-    """
-    if label not in COMPONENT_LABELS:
-        raise ValueError(f"unknown component label {label!r}")
-    if d is None:
-        d = params.d11 if label == "11" else params.d_far_resolved
-    if d <= 0:
-        raise ValueError("separation must be positive")
-    duration = params.pulse_time
-    delta_p = TWOPI * params.c3_ghz_um3 * 1e9 / d**3
-    delta_r = TWOPI * params.c6_ghz_um6 * 1e9 / d**6
-    amp = two_level_pulse(
-        params.omega_mu, delta_p, delta_r, params.gamma_r, params.gamma_p, duration
-    )
-    amp *= np.exp(-0.5 * params.gamma_rp * duration)
-    return ComponentAmplitude(label=label, amplitude=complex(amp))
-
-
-def gate_fidelity_pointwise(params: GateParams, d11: float | None = None) -> GateResult:
-    """Evolve all four components and score against the CZ target state.
-
-    f0 = |a00 + a01 + a10 - a11|^2 / 16, the overlap-squared of the
-    evolved equal superposition with (|00> + |01> + |10> - |11>) / 2.
-    """
-    d11 = params.d11 if d11 is None else d11
-    amps = _component_amplitudes(params, d11)
-    a00, a01, a10, a11 = (complex(a) for a in amps)
-    f0 = abs(a00 + a01 + a10 - a11) ** 2 / 16.0
-    return GateResult(
-        amplitudes=tuple(
-            ComponentAmplitude(label=lab, amplitude=amp)
-            for lab, amp in zip(COMPONENT_LABELS, (a00, a01, a10, a11))
-        ),
-        f0=float(f0),
-        pulse_time=params.pulse_time,
-    )
+    # far pairs scale with the trial separation unless pinned explicitly
+    d_far = DEFAULT_D_FAR_FACTOR * d11 if params.d_far is None else np.full_like(d11, params.d_far)
+    far = stored(d_far)
+    return np.stack([far, far, far, stored(d11)])
 
 
 def fidelity_curve(params: GateParams):
-    """F0 as a vectorised function of separation, for averaging kernels."""
+    """F0 = |a00 + a01 + a10 - a11|^2 / 16 as a vectorised function of separation.
+
+    The overlap-squared of the evolved equal superposition with the CZ
+    target (|00> + |01> + |10> - |11>) / 2, for averaging kernels.
+    """
 
     def curve(d11):
-        amps = _component_amplitudes(params, d11)
+        amps = component_amplitudes(params, d11)
         total = amps[0] + amps[1] + amps[2] - amps[3]
         return np.abs(total) ** 2 / 16.0
 

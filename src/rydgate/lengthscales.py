@@ -19,7 +19,6 @@ clean, yet within reach of the 1/d^3 exchange shift.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable
 
 from .constants import HBAR, PLANCK_H, TWOPI
 from .errors import ResonanceError
@@ -40,7 +39,7 @@ __all__ = [
     "RadiiPoint",
     "blockade_radii",
     "figure_of_merit",
-    "radii_scan",
+    "radii_point",
 ]
 
 
@@ -68,13 +67,18 @@ class MeritPoint:
 
 @dataclasses.dataclass(frozen=True)
 class RadiiPoint:
-    """One row of the radii-vs-n scan; None radii mark resonant pairs."""
+    """Radii at one n; None radii mark resonant pairs."""
 
     n: int
     r_b6_cross_um: float | None
     r_b6_same_um: float | None
     r_b3_um: float
     resonant: bool
+
+
+def _power_radius(c_ghz: float, omega: float, k: int) -> float:
+    """(2 pi |C_k| / omega)^(1/k) in um, for C_k in GHz um^k and omega in rad/s."""
+    return (TWOPI * (abs(c_ghz) * 1e9) / omega) ** (1.0 / k)
 
 
 def blockade_radii(
@@ -92,11 +96,9 @@ def blockade_radii(
         raise ValueError("coefficients must be non-zero (C3 positive)")
     if omega_eit <= 0 or omega_mu <= 0:
         raise ValueError("frequencies must be positive")
-    c3_hz = c3_ghz_um3 * 1e9
-    c6_hz = abs(c6_ghz_um6) * 1e9
-    r_b3 = (TWOPI * c3_hz / omega_mu) ** (1.0 / 3.0)
-    r_b6 = (TWOPI * c6_hz / omega_eit) ** (1.0 / 6.0)
-    r_mu = (TWOPI * c6_hz / omega_mu) ** (1.0 / 6.0)
+    r_b3 = _power_radius(c3_ghz_um3, omega_mu, 3)
+    r_b6 = _power_radius(c6_ghz_um6, omega_eit, 6)
+    r_mu = _power_radius(c6_ghz_um6, omega_mu, 6)
     low = max(r_b6, r_mu)
     return Lengthscales(
         r_b3=r_b3,
@@ -149,54 +151,48 @@ def figure_of_merit(
     return MeritPoint(n=n, merit=merit, gamma_used=gamma)
 
 
-def radii_scan(
+def radii_point(
     species: AtomSpecies,
-    n_values: Iterable[int],
+    n: int,
     omega: float,
     *,
     max_delta_n: int = DEFAULT_MAX_DELTA_N,
     max_l: int = DEFAULT_MAX_L,
     resonance_threshold_hz: float = DEFAULT_RESONANCE_THRESHOLD_HZ,
     grid: GridSpec | None = None,
-) -> list[RadiiPoint]:
-    """Radii vs n at a single coupling omega (rad/s), one row per n.
+) -> RadiiPoint:
+    """Radii at one n and a single coupling omega (rad/s).
 
-    Per row: r_b6 of the cross pair (nS, (n+1)S), r_b6 of the same-level
+    r_b6 of the cross pair (nS, (n+1)S), r_b6 of the same-level
     reference pair (nS, nS), and r_b3 of (nS, nP_1/2). Forster-resonant
-    pairs yield None in the affected column and set the row flag instead
-    of raising.
+    pairs yield None in the affected column and set the flag instead of
+    raising.
     """
-    rows = []
-    for n in n_values:
-        control, target, aux = _level_system(n)
-        c3 = c3_coefficient(species, control, aux, grid=grid)
-        r_b3 = (TWOPI * c3 * 1e9 / omega) ** (1.0 / 3.0)
+    control, target, aux = _level_system(n)
+    r_b3 = _power_radius(c3_coefficient(species, control, aux, grid=grid), omega, 3)
 
-        radii: dict[str, float | None] = {}
-        resonant = False
-        for key, partner in (("cross", target), ("same", control)):
-            try:
-                c6 = c6_coefficient(
-                    species,
-                    control,
-                    partner,
-                    max_delta_n=max_delta_n,
-                    max_l=max_l,
-                    resonance_threshold_hz=resonance_threshold_hz,
-                    grid=grid,
-                ).c6_ghz_um6
-            except ResonanceError:
-                radii[key] = None
-                resonant = True
-            else:
-                radii[key] = (TWOPI * abs(c6) * 1e9 / omega) ** (1.0 / 6.0)
-        rows.append(
-            RadiiPoint(
-                n=n,
-                r_b6_cross_um=radii["cross"],
-                r_b6_same_um=radii["same"],
-                r_b3_um=r_b3,
-                resonant=resonant,
-            )
-        )
-    return rows
+    radii: dict[str, float | None] = {}
+    resonant = False
+    for key, partner in (("cross", target), ("same", control)):
+        try:
+            c6 = c6_coefficient(
+                species,
+                control,
+                partner,
+                max_delta_n=max_delta_n,
+                max_l=max_l,
+                resonance_threshold_hz=resonance_threshold_hz,
+                grid=grid,
+            ).c6_ghz_um6
+        except ResonanceError:
+            radii[key] = None
+            resonant = True
+        else:
+            radii[key] = _power_radius(c6, omega, 6)
+    return RadiiPoint(
+        n=n,
+        r_b6_cross_um=radii["cross"],
+        r_b6_same_um=radii["same"],
+        r_b3_um=r_b3,
+        resonant=resonant,
+    )

@@ -26,7 +26,7 @@ from .averaging import averaged_fidelity, optimize_d11
 from .constants import TWOPI
 from .errors import ResonanceError, RydgateError
 from .gate import GateParams
-from .lengthscales import blockade_radii, figure_of_merit, radii_scan
+from .lengthscales import figure_of_merit, radii_point
 from .pair import PairState, forster_channels
 from .species import AtomSpecies
 
@@ -232,12 +232,7 @@ def _fidelity_row(args):
     }
     try:
         params = _params_for_axis_value(species, spec, value)
-        scales = blockade_radii(
-            params.c3_ghz_um3,
-            params.c6_ghz_um6,
-            params.omega_eit_resolved,
-            params.omega_mu,
-        )
+        scales = params.lengthscales
         if spec.d11_mode == "opt":
             d_used, avg = optimize_d11(params)
         else:
@@ -275,7 +270,7 @@ def _radii_row(args):
     species, n, omega = args
     nan = float("nan")
     try:
-        point = radii_scan(species, [n], omega)[0]
+        point = radii_point(species, n, omega)
     except RydgateError as exc:
         return _error_status(exc), [n, nan, nan, nan, False]
     cells = [

@@ -19,7 +19,7 @@ import pytest
 from rydgate.averaging import optimize_d11
 from rydgate.cli import main as cli_main
 from rydgate.constants import TWOPI
-from rydgate.gate import GateParams, gate_fidelity_pointwise, two_level_pulse
+from rydgate.gate import GateParams, fidelity_curve, two_level_pulse
 from rydgate.lengthscales import blockade_radii
 from rydgate.levels import RydbergLevel, p_level, s_level
 from rydgate.pair import (
@@ -261,14 +261,13 @@ def _identity_params(**overrides):
 
 
 def test_no_blockade_fidelity_is_one_quarter():
-    result = gate_fidelity_pointwise(_identity_params())
-    assert result.f0 == pytest.approx(0.25, abs=1e-9)
+    params = _identity_params()
+    assert fidelity_curve(params)(params.d11) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_ideal_blockade_fidelity_is_one():
     params = _identity_params(c3_ghz_um3=1e12, c6_ghz_um6=0.0, d11=1.0, d_far=1e9)
-    result = gate_fidelity_pointwise(params)
-    assert result.f0 == pytest.approx(1.0, abs=1e-9)
+    assert fidelity_curve(params)(params.d11) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

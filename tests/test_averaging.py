@@ -15,7 +15,7 @@ from rydgate.averaging import (
 )
 from rydgate.constants import K_BOLTZMANN, TWOPI
 from rydgate.errors import WindowError
-from rydgate.gate import GateParams, fidelity_curve, gate_fidelity_pointwise
+from rydgate.gate import GateParams, fidelity_curve
 
 
 def _dephasing(**overrides):
@@ -136,7 +136,7 @@ def test_averaged_fidelity_zero_q_reduces_to_pointwise(species):
     params = _gate_params(species, q=0.0)
     avg = averaged_fidelity(params)
     assert avg.eta_m == 1.0
-    assert avg.f0_avg == pytest.approx(gate_fidelity_pointwise(params).f0, rel=1e-12)
+    assert avg.f0_avg == pytest.approx(fidelity_curve(params)(params.d11), rel=1e-12)
     assert avg.f_total == avg.f0_avg
     assert avg.warnings == ()
 

@@ -58,14 +58,14 @@ def test_radii_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
     from rydgate import sweeps
     from rydgate.errors import NumericsError
 
-    real = sweeps.radii_scan
+    real = sweeps.radii_point
 
-    def diverges_at_61(species, n_values, omega):
-        if list(n_values) == [61]:
+    def diverges_at_61(species, n, omega):
+        if n == 61:
             raise NumericsError("inward solution diverges")
-        return real(species, n_values, omega)
+        return real(species, n, omega)
 
-    monkeypatch.setattr(sweeps, "radii_scan", diverges_at_61)
+    monkeypatch.setattr(sweeps, "radii_point", diverges_at_61)
     out = tmp_path / "radii_fail"
     assert _run("radii", "--n", "60:61", "--workers", "1", "--out", str(out)) == 1
     assert "radii: 1 row(s) failed" in capsys.readouterr().err

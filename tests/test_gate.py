@@ -1,4 +1,4 @@
-"""Gate dynamics: the damped two-level pulse, per-component evolution,
+"""Gate dynamics: the damped two-level pulse, the component amplitudes,
 and the pointwise CZ fidelity.
 
 Scaling tests probe at algebraically chosen detunings where the pulse
@@ -18,9 +18,8 @@ from rydgate.constants import TWOPI
 from rydgate.gate import (
     COMPONENT_LABELS,
     GateParams,
-    component_evolution,
+    component_amplitudes,
     fidelity_curve,
-    gate_fidelity_pointwise,
     two_level_pulse,
     two_level_pulse_ode,
 )
@@ -78,6 +77,18 @@ def test_closed_form_matches_ode_on_random_draws():
         ode = two_level_pulse_ode(omega, delta_p, delta_r, gamma_r, gamma_p, duration)
         assert closed == pytest.approx(ode, abs=1e-8)
         assert abs(closed) <= 1.0 + 1e-12  # no gain from non-negative decay
+
+
+def test_pulse_on_arrays_equals_scalar_calls_bitwise():
+    rng = np.random.default_rng(11)
+    delta_p = rng.uniform(-1e8, 1e8, 64)
+    delta_r = rng.uniform(-1e8, 1e8, 64)
+    args = (OMEGA, delta_p, delta_r, 2e3, 7e3, TWOPI / OMEGA)
+    vector = two_level_pulse(*args)
+    assert vector.shape == (64,)
+    for k, (dp, dr) in enumerate(zip(delta_p, delta_r)):
+        scalar = two_level_pulse(OMEGA, float(dp), float(dr), 2e3, 7e3, TWOPI / OMEGA)
+        assert vector[k] == scalar
 
 
 def test_pulse_rejects_non_positive_duration():
@@ -164,10 +175,13 @@ def test_params_derived_quantities():
     params = _params()
     assert params.pulse_time == pytest.approx(TWOPI / OMEGA, rel=1e-14)
     assert params.omega_eit_resolved == params.omega_c
-    assert params.d_far_resolved == pytest.approx(50.0)
+    # far pairs default to 5 * d11 and follow a pinned d_far otherwise
+    far = component_amplitudes(params, params.d11)[0]
+    assert far == component_amplitudes(_params(d_far=50.0), params.d11)[0]
     pinned = _params(omega_eit=3.0 * OMEGA, d_far=123.0)
     assert pinned.omega_eit_resolved == 3.0 * OMEGA
-    assert pinned.d_far_resolved == 123.0
+    assert component_amplitudes(pinned, 7.0)[0] == component_amplitudes(pinned, 13.0)[0]
+    assert component_amplitudes(pinned, 7.0)[0] == _stored_amplitude(pinned, 123.0)
 
 
 def test_params_validation():
@@ -213,34 +227,48 @@ def test_for_level_system_wiring(species):
 
 
 # ---------------------------------------------------------------------------
-# component evolution
+# component amplitudes
 
-def test_component_evolution_validation():
+def _stored_amplitude(params, d):
+    """One component stored at separation d, straight from the scalar pulse."""
+    duration = params.pulse_time
+    amp = two_level_pulse(
+        params.omega_mu,
+        TWOPI * (params.c3_ghz_um3 * 1e9) / d**3,
+        TWOPI * (params.c6_ghz_um6 * 1e9) / d**6,
+        params.gamma_r,
+        params.gamma_p,
+        duration,
+    )
+    return amp * np.exp(-0.5 * params.gamma_rp * duration)
+
+
+def test_component_amplitudes_validation():
     params = _params()
     with pytest.raises(ValueError):
-        component_evolution("22", params)
+        component_amplitudes(params, 0.0)
     with pytest.raises(ValueError):
-        component_evolution("11", params, d=0.0)
+        component_amplitudes(params, np.array([10.0, -1.0]))
 
 
 def test_component_default_distances():
     params = _params()
-    for label in COMPONENT_LABELS:
-        d_default = params.d11 if label == "11" else params.d_far_resolved
-        assert component_evolution(label, params).amplitude == component_evolution(
-            label, params, d=d_default
-        ).amplitude
+    amps = component_amplitudes(params, params.d11)
+    assert amps.shape == (len(COMPONENT_LABELS),)
+    for label, amp in zip(COMPONENT_LABELS, amps):
+        d_default = params.d11 if label == "11" else 5.0 * params.d11
+        assert amp == _stored_amplitude(params, d_default)
 
 
 def test_far_component_is_clean_rotation():
     params = _params(c6_ghz_um6=100.0, d_far=1e9)
-    amp = component_evolution("00", params).amplitude
+    amp = component_amplitudes(params, params.d11)[COMPONENT_LABELS.index("00")]
     assert amp == pytest.approx(-1.0 + 0.0j, abs=1e-9)
 
 
 def test_blockaded_component_is_frozen():
     params = _params(c3_ghz_um3=1e12, c6_ghz_um6=0.0, d11=1.0, d_far=1e9)
-    amp = component_evolution("11", params).amplitude
+    amp = component_amplitudes(params, params.d11)[COMPONENT_LABELS.index("11")]
     assert amp == pytest.approx(1.0 + 0.0j, abs=1e-9)
 
 
@@ -251,47 +279,54 @@ def test_fidelity_without_blockade_is_one_quarter():
     """With every pair non-interacting the conditional phase never
     develops and the CZ overlap is exactly 1/4."""
     params = _params(c3_ghz_um3=10.0, c6_ghz_um6=100.0, d11=1e4)
-    result = gate_fidelity_pointwise(params)
-    assert result.f0 == pytest.approx(0.25, abs=1e-9)
+    assert fidelity_curve(params)(params.d11) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_fidelity_of_ideal_gate_is_one():
     params = _params(c3_ghz_um3=1e12, c6_ghz_um6=0.0, d11=1.0, d_far=1e9)
-    result = gate_fidelity_pointwise(params)
-    assert result.f0 == pytest.approx(1.0, abs=1e-9)
-    assert result.pulse_time == params.pulse_time
-    assert result.amplitude("11") == pytest.approx(1.0 + 0.0j, abs=1e-9)
-    with pytest.raises(KeyError):
-        result.amplitude("xx")
+    assert fidelity_curve(params)(params.d11) == pytest.approx(1.0, abs=1e-9)
+    amps = component_amplitudes(params, params.d11)
+    assert amps[COMPONENT_LABELS.index("11")] == pytest.approx(1.0 + 0.0j, abs=1e-9)
 
 
 def test_fidelity_is_global_phase_invariant():
-    result = gate_fidelity_pointwise(_params())
-    amps = [result.amplitude(lab) for lab in COMPONENT_LABELS]
+    params = _params()
+    amps = component_amplitudes(params, params.d11)
     rotated = [a * cmath.exp(0.7j) for a in amps]
     f_rot = abs(rotated[0] + rotated[1] + rotated[2] - rotated[3]) ** 2 / 16.0
-    assert f_rot == pytest.approx(result.f0, rel=1e-12)
+    assert f_rot == pytest.approx(fidelity_curve(params)(params.d11), rel=1e-12)
 
 
 def test_fidelity_never_improves_with_decay():
     base = _params(c3_ghz_um3=1e4, c6_ghz_um6=1575.0, d11=8.0)
     for field in ("gamma_r", "gamma_rp", "gamma_p"):
         f_values = [
-            gate_fidelity_pointwise(dataclasses.replace(base, **{field: g})).f0
+            fidelity_curve(dataclasses.replace(base, **{field: g}))(base.d11)
             for g in (0.0, 1e3, 1e4)
         ]
         assert f_values[0] >= f_values[1] >= f_values[2], field
 
 
-def test_fidelity_curve_matches_pointwise():
-    params = _params(gamma_r=2e3, gamma_rp=3e3, gamma_p=7e3)
-    curve = fidelity_curve(params)
+@pytest.mark.parametrize("d_far", [None, 40.0])
+def test_fidelity_curve_matches_ode_oracle(d_far):
+    """f0 assembled from the adaptive-ODE pulse, component by component."""
+    params = _params(gamma_r=2e3, gamma_rp=3e3, gamma_p=7e3, d_far=d_far)
+    t = params.pulse_time
+    spectator = math.exp(-0.5 * params.gamma_rp * t)
+
+    def stored(d):
+        delta_p = TWOPI * params.c3_ghz_um3 * 1e9 / d**3
+        delta_r = TWOPI * params.c6_ghz_um6 * 1e9 / d**6
+        return spectator * two_level_pulse_ode(
+            params.omega_mu, delta_p, delta_r, params.gamma_r, params.gamma_p, t
+        )
+
     distances = np.array([6.0, 10.0, 14.0])
-    values = curve(distances)
+    values = fidelity_curve(params)(distances)
     assert values.shape == distances.shape
     for d, value in zip(distances, values):
-        assert value == pytest.approx(
-            gate_fidelity_pointwise(params, d11=float(d)).f0, abs=1e-14
-        )
+        far = stored(5.0 * d if d_far is None else d_far)
+        f0 = abs(3.0 * far - stored(d)) ** 2 / 16.0
+        assert value == pytest.approx(f0, abs=1e-8)
     with pytest.raises(ValueError):
-        curve(np.array([10.0, -1.0]))
+        fidelity_curve(params)(np.array([10.0, -1.0]))

@@ -6,7 +6,7 @@ import pytest
 
 from rydgate.constants import HBAR, PLANCK_H, TWOPI
 from rydgate.errors import ResonanceError
-from rydgate.lengthscales import blockade_radii, figure_of_merit, radii_scan
+from rydgate.lengthscales import blockade_radii, figure_of_merit, radii_point
 from rydgate.levels import p_level, s_level
 from rydgate.pair import c3_coefficient, c6_coefficient
 from rydgate.qdt import lifetime
@@ -90,7 +90,7 @@ def test_figure_of_merit_propagates_resonance(species):
 
 
 def test_radii_scan_rows(species):
-    rows = radii_scan(species, [37, 38, 39], OMEGA_1MHZ)
+    rows = [radii_point(species, n, OMEGA_1MHZ) for n in [37, 38, 39]]
     assert [row.n for row in rows] == [37, 38, 39]
     flagged = {row.n: row for row in rows}[38]
     assert flagged.resonant
@@ -105,7 +105,7 @@ def test_radii_scan_rows(species):
 
 def test_radii_scan_hierarchy(species):
     """The exchange radius dominates both blockade radii over the useful n range."""
-    rows = radii_scan(species, range(50, 101, 10), OMEGA_1MHZ)
+    rows = [radii_point(species, n, OMEGA_1MHZ) for n in range(50, 101, 10)]
     for row in rows:
         assert not row.resonant
         assert row.r_b3_um > row.r_b6_cross_um
@@ -114,4 +114,6 @@ def test_radii_scan_hierarchy(species):
 
 def test_radii_scan_deterministic(species):
     ns = [68, 70]
-    assert radii_scan(species, ns, OMEGA_1MHZ) == radii_scan(species, ns, OMEGA_1MHZ)
+    assert [radii_point(species, n, OMEGA_1MHZ) for n in ns] == [
+        radii_point(species, n, OMEGA_1MHZ) for n in ns
+    ]
