@@ -69,7 +69,6 @@ from .gate import (
     component_amplitudes,
     fidelity_curve,
     two_level_pulse,
-    two_level_pulse_ode,
 )
 from .averaging import (
     AveragedFidelity,

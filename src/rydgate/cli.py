@@ -31,6 +31,7 @@ from importlib import resources
 from .constants import mhz_to_rad_s
 from .errors import RydgateError, SpeciesDataError
 from .gate import GateParams
+from .pair import DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L
 from .species import AtomSpecies, load_species
 from .svgplot import Series, render_plot
 from .sweeps import (
@@ -337,8 +338,18 @@ _COMMANDS = {
         (
             ("n", str, "30:50", "n range lo:hi (default 30:50)"),
             ("threshold_mhz", float, 10.0, "|defect| cut in MHz (default 10)"),
-            ("max_delta_n", int, 5, "principal-number search width (default 5)"),
-            ("max_l", int, 2, "orbital momentum cap for channels (default 2)"),
+            (
+                "max_delta_n",
+                int,
+                DEFAULT_MAX_DELTA_N,
+                f"principal-number search width (default {DEFAULT_MAX_DELTA_N})",
+            ),
+            (
+                "max_l",
+                int,
+                DEFAULT_MAX_L,
+                f"orbital momentum cap for channels (default {DEFAULT_MAX_L})",
+            ),
         ),
         _forster,
     ),

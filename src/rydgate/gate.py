@@ -16,9 +16,7 @@ vanish.  Amplitude (non-Hermitian) damping stands in for the full master
 equation: decayed population never returns to the computational space,
 so overlaps with the target state are exact.
 
-The closed-form 2x2 evolution is vectorised over distance arrays; an
-independent adaptive-ODE integration of the same Schroedinger equation
-is provided as a cross-check.
+The closed-form 2x2 evolution is vectorised over distance arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .constants import TWOPI
 from .lengthscales import Lengthscales, _level_system, blockade_radii
@@ -38,7 +35,6 @@ __all__ = [
     "COMPONENT_LABELS",
     "GateParams",
     "two_level_pulse",
-    "two_level_pulse_ode",
     "component_amplitudes",
     "fidelity_curve",
 ]
@@ -186,40 +182,6 @@ def two_level_pulse(omega_mu, delta_p, delta_r, gamma_r, gamma_p, duration):
         np.cos(phase) + 1j * half_gap * duration * sinc
     )
     return amp.reshape(shape)[()]
-
-
-def two_level_pulse_ode(
-    omega_mu: float,
-    delta_p: float,
-    delta_r: float,
-    gamma_r: float,
-    gamma_p: float,
-    duration: float,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> complex:
-    """Same evolution by adaptive integration; the closed form's cross-check."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    z_r = delta_r - 0.5j * gamma_r
-    z_p = delta_p - 0.5j * gamma_p
-
-    def rhs(_, c):
-        return [
-            -1j * (z_r * c[0] + 0.5 * omega_mu * c[1]),
-            -1j * (0.5 * omega_mu * c[0] + z_p * c[1]),
-        ]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, duration),
-        [1.0 + 0.0j, 0.0 + 0.0j],
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    return complex(sol.y[0, -1])
 
 
 def component_amplitudes(params: GateParams, d11) -> np.ndarray:

@@ -23,14 +23,8 @@ import dataclasses
 from .constants import HBAR, PLANCK_H, TWOPI
 from .errors import ResonanceError
 from .levels import RydbergLevel, p_level, s_level
-from .pair import (
-    DEFAULT_MAX_DELTA_N,
-    DEFAULT_MAX_L,
-    DEFAULT_RESONANCE_THRESHOLD_HZ,
-    c3_coefficient,
-    c6_coefficient,
-)
-from .qdt import GridSpec, lifetime
+from .pair import c3_coefficient, c6_coefficient
+from .qdt import lifetime
 from .species import AtomSpecies
 
 __all__ = [
@@ -116,16 +110,7 @@ def _level_system(n: int) -> tuple[RydbergLevel, RydbergLevel, RydbergLevel]:
     return s_level(n), s_level(n + 1), p_level(n, 0.5)
 
 
-def figure_of_merit(
-    species: AtomSpecies,
-    n: int,
-    temperature: float = 300.0,
-    *,
-    max_delta_n: int = DEFAULT_MAX_DELTA_N,
-    max_l: int = DEFAULT_MAX_L,
-    resonance_threshold_hz: float = DEFAULT_RESONANCE_THRESHOLD_HZ,
-    grid: GridSpec | None = None,
-) -> MeritPoint:
+def figure_of_merit(species: AtomSpecies, n: int, temperature: float = 300.0) -> MeritPoint:
     """O = C3(r'p)^2 / (C6(r'r) hbar Gamma) for the nS/(n+1)S/nP_1/2 system.
 
     Gamma is the largest decay rate among the three levels at the given
@@ -134,16 +119,8 @@ def figure_of_merit(
     error from the C6 sum for unusable n.
     """
     control, target, aux = _level_system(n)
-    c3 = c3_coefficient(species, control, aux, grid=grid)
-    c6 = c6_coefficient(
-        species,
-        control,
-        target,
-        max_delta_n=max_delta_n,
-        max_l=max_l,
-        resonance_threshold_hz=resonance_threshold_hz,
-        grid=grid,
-    ).c6_ghz_um6
+    c3 = c3_coefficient(species, control, aux)
+    c6 = c6_coefficient(species, control, target).c6_ghz_um6
     gamma = max(lifetime(species, lv, temperature) for lv in (control, target, aux))
     c3_joule_um3 = PLANCK_H * c3 * 1e9
     c6_joule_um6 = PLANCK_H * abs(c6) * 1e9
@@ -151,16 +128,7 @@ def figure_of_merit(
     return MeritPoint(n=n, merit=merit, gamma_used=gamma)
 
 
-def radii_point(
-    species: AtomSpecies,
-    n: int,
-    omega: float,
-    *,
-    max_delta_n: int = DEFAULT_MAX_DELTA_N,
-    max_l: int = DEFAULT_MAX_L,
-    resonance_threshold_hz: float = DEFAULT_RESONANCE_THRESHOLD_HZ,
-    grid: GridSpec | None = None,
-) -> RadiiPoint:
+def radii_point(species: AtomSpecies, n: int, omega: float) -> RadiiPoint:
     """Radii at one n and a single coupling omega (rad/s).
 
     r_b6 of the cross pair (nS, (n+1)S), r_b6 of the same-level
@@ -169,21 +137,13 @@ def radii_point(
     raising.
     """
     control, target, aux = _level_system(n)
-    r_b3 = _power_radius(c3_coefficient(species, control, aux, grid=grid), omega, 3)
+    r_b3 = _power_radius(c3_coefficient(species, control, aux), omega, 3)
 
     radii: dict[str, float | None] = {}
     resonant = False
     for key, partner in (("cross", target), ("same", control)):
         try:
-            c6 = c6_coefficient(
-                species,
-                control,
-                partner,
-                max_delta_n=max_delta_n,
-                max_l=max_l,
-                resonance_threshold_hz=resonance_threshold_hz,
-                grid=grid,
-            ).c6_ghz_um6
+            c6 = c6_coefficient(species, control, partner).c6_ghz_um6
         except ResonanceError:
             radii[key] = None
             resonant = True

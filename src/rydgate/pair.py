@@ -19,6 +19,7 @@ cross-check for all of them.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -90,17 +91,10 @@ class ForsterChannel:
 
 @dataclasses.dataclass(frozen=True)
 class InteractionCoefficients:
-    """C6 with its channel decomposition and the truncation that made it."""
+    """C6 with its channel decomposition, strongest channel first."""
 
     c6_ghz_um6: float
     channels: tuple[ForsterChannel, ...]
-    max_delta_n: int
-    max_l: int
-    resonance_threshold_hz: float
-
-    @property
-    def dominant_channel(self) -> ForsterChannel:
-        return self.channels[0]
 
 
 def pair_energy(species: AtomSpecies, level_a: RydbergLevel, level_b: RydbergLevel) -> float:
@@ -147,6 +141,24 @@ def _dipole_finals(level: RydbergLevel, max_delta_n: int, max_l: int) -> list[Ry
     return out
 
 
+def _orderings(
+    a: RydbergLevel, b: RydbergLevel
+) -> list[tuple[RydbergLevel, RydbergLevel]]:
+    """Level orderings of the initial manifold: |a b>, and |b a> for distinct levels."""
+    return [(a, b)] if a == b else [(a, b), (b, a)]
+
+
+def _coupled_finals(
+    a: RydbergLevel, b: RydbergLevel, M: float, max_delta_n: int, max_l: int
+) -> Iterator[tuple[RydbergLevel, RydbergLevel, float]]:
+    """Yield (final_a, final_b, angular_factor) for each non-zero channel out of |a b>."""
+    for final_a in _dipole_finals(a, max_delta_n, max_l):
+        for final_b in _dipole_finals(b, max_delta_n, max_l):
+            factor = angular_factor(a, b, final_a, final_b, M)
+            if factor != 0.0:
+                yield final_a, final_b, factor
+
+
 def _channel_key(channel: ForsterChannel) -> tuple:
     fa, fb = channel.final.a, channel.final.b
     return (fa.n, fa.L, fa.J, fb.n, fb.L, fb.J)
@@ -170,33 +182,27 @@ def forster_channels(
         raise ValueError("max_delta_n must be non-negative")
     e_initial = pair_energy(species, pair.a, pair.b)
     channels = []
-    for final_a in _dipole_finals(pair.a, max_delta_n, max_l):
-        for final_b in _dipole_finals(pair.b, max_delta_n, max_l):
-            if abs(pair.M) > final_a.J + final_b.J:
-                continue
-            factor = angular_factor(pair.a, pair.b, final_a, final_b, pair.M)
-            if factor == 0.0:
-                continue
-            r1 = radial_matrix_element(species, pair.a, final_a, grid)
-            r2 = radial_matrix_element(species, pair.b, final_b, grid)
-            coupling = C3_PREFACTOR_HZ_UM3 * 1e-9 * r1 * r2 * factor
-            if coupling == 0.0:
-                continue
-            defect = pair_energy(species, final_a, final_b) - e_initial
-            if defect != 0.0:
-                contribution = coupling * coupling / (-defect * 1e-9)
-            else:
-                contribution = float("inf")
-            channels.append(
-                ForsterChannel(
-                    initial=pair,
-                    final=PairState(final_a, final_b, pair.M),
-                    defect_hz=defect,
-                    coupling_ghz_um3=coupling,
-                    contribution_ghz_um6=contribution,
-                    resonant=abs(defect) < resonance_threshold_hz,
-                )
+    for final_a, final_b, factor in _coupled_finals(pair.a, pair.b, pair.M, max_delta_n, max_l):
+        r1 = radial_matrix_element(species, pair.a, final_a, grid)
+        r2 = radial_matrix_element(species, pair.b, final_b, grid)
+        coupling = C3_PREFACTOR_HZ_UM3 * 1e-9 * r1 * r2 * factor
+        if coupling == 0.0:
+            continue
+        defect = pair_energy(species, final_a, final_b) - e_initial
+        if defect != 0.0:
+            contribution = coupling * coupling / (-defect * 1e-9)
+        else:
+            contribution = float("inf")
+        channels.append(
+            ForsterChannel(
+                initial=pair,
+                final=PairState(final_a, final_b, pair.M),
+                defect_hz=defect,
+                coupling_ghz_um3=coupling,
+                contribution_ghz_um6=contribution,
+                resonant=abs(defect) < resonance_threshold_hz,
             )
+        )
     channels.sort(key=lambda ch: (-abs(ch.contribution_ghz_um6), _channel_key(ch)))
     return tuple(channels)
 
@@ -243,13 +249,7 @@ def c6_coefficient(
     total = 0.0
     for channel in sorted(channels, key=_channel_key):
         total += channel.contribution_ghz_um6
-    return InteractionCoefficients(
-        c6_ghz_um6=total,
-        channels=channels,
-        max_delta_n=max_delta_n,
-        max_l=max_l,
-        resonance_threshold_hz=resonance_threshold_hz,
-    )
+    return InteractionCoefficients(c6_ghz_um6=total, channels=channels)
 
 
 def c6_branches(
@@ -279,9 +279,7 @@ def c6_branches(
     pair eigenstates (Walker & Saffman, PRA 77, 032723 (2008)). Raises
     ResonanceError under the same guard as ``c6_coefficient``.
     """
-    orderings = [(level_a, level_b)]
-    if level_b != level_a:
-        orderings.append((level_b, level_a))
+    orderings = _orderings(level_a, level_b)
     starts = [0]
     for a, b in orderings:
         starts.append(starts[-1] + len(pair_m_states(a.J, b.J, M)))
@@ -320,24 +318,17 @@ def c6_branches(
 def _first_shell_manifolds(
     pair: PairState, max_delta_n: int, max_l: int
 ) -> list[tuple[RydbergLevel, RydbergLevel]]:
-    """Initial pair manifold(s) plus every dipole-connected pair, deduplicated."""
-    manifolds = [(pair.a, pair.b)]
-    if pair.b != pair.a:
-        manifolds.append((pair.b, pair.a))
-    seen = set(manifolds)
-    for initial in list(manifolds):
-        for fa in _dipole_finals(initial[0], max_delta_n, max_l):
-            for fb in _dipole_finals(initial[1], max_delta_n, max_l):
-                key = (fa, fb)
-                if key in seen:
-                    continue
-                if abs(pair.M) > fa.J + fb.J:
-                    continue
-                if angular_factor(initial[0], initial[1], fa, fb, pair.M) == 0.0:
-                    continue
-                seen.add(key)
-                manifolds.append(key)
-    return manifolds
+    """Initial pair manifold(s) plus every dipole-connected pair, in first-seen order.
+
+    The order is part of the result: eigh on a permuted basis differs in the last bits.
+    """
+    initial = _orderings(pair.a, pair.b)
+    finals = [
+        (fa, fb)
+        for a, b in initial
+        for fa, fb, _ in _coupled_finals(a, b, pair.M, max_delta_n, max_l)
+    ]
+    return list(dict.fromkeys(initial + finals))
 
 
 def _radial_gather(
@@ -455,7 +446,7 @@ def pair_hamiltonian_shift(
         branch = "extremal" if resonant else "mean"
 
     manifolds = _first_shell_manifolds(pair, max_delta_n, max_l)
-    n_initial = 2 if pair.b != pair.a else 1
+    n_initial = len(_orderings(pair.a, pair.b))
 
     hamiltonian, offsets = _pair_hamiltonian(species, pair, manifolds, d_um, grid)
     dim = len(hamiltonian)

@@ -163,6 +163,18 @@ def _count_nodes(u: np.ndarray) -> int:
     return int(np.count_nonzero(np.signbit(sig[1:]) != np.signbit(sig[:-1])))
 
 
+def _normalised_solution(
+    level: RydbergLevel, n_star: float, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(r, u) on sqrt-grid x, divergence-guarded and normalised to unit norm."""
+    r, u = _solve_on_grid(n_star, level.L, x)
+    _check_divergence(level, n_star, r, u)
+    norm2 = float(simpson(2.0 * x * u * u, x=x))
+    if norm2 <= 0.0 or not math.isfinite(norm2):
+        raise NumericsError(f"{level}: non-finite norm in radial solution")
+    return r, u / math.sqrt(norm2)
+
+
 @functools.lru_cache(maxsize=4096)
 def _radial_solution_cached(
     species: AtomSpecies, level: RydbergLevel, grid: GridSpec
@@ -174,13 +186,7 @@ def _radial_solution_cached(
     if r_in >= r_out:
         raise NumericsError(f"{level}: inner cutoff {r_in} exceeds outer {r_out}")
     x = np.linspace(math.sqrt(r_in), math.sqrt(r_out), grid.points)
-    r, u = _solve_on_grid(n_star, level.L, x)
-    _check_divergence(level, n_star, r, u)
-
-    norm2 = float(simpson(2.0 * x * u * u, x=x))
-    if norm2 <= 0.0 or not math.isfinite(norm2):
-        raise NumericsError(f"{level}: non-finite norm in radial solution")
-    u = u / math.sqrt(norm2)
+    r, u = _normalised_solution(level, n_star, x)
     if u[int(np.argmax(np.abs(u)))] < 0.0:
         u = -u
 
@@ -225,10 +231,8 @@ def _matrix_element_cached(
     r_out = max(2.0 * na * (na + 15.0), 2.0 * nb * (nb + 15.0))
     x = np.linspace(math.sqrt(r_in), math.sqrt(r_out), grid.points)
 
-    _, ua = _solve_on_grid(na, level_a.L, x)
-    _, ub = _solve_on_grid(nb, level_b.L, x)
-    ua = ua / math.sqrt(float(simpson(2.0 * x * ua * ua, x=x)))
-    ub = ub / math.sqrt(float(simpson(2.0 * x * ub * ub, x=x)))
+    _, ua = _normalised_solution(level_a, na, x)
+    _, ub = _normalised_solution(level_b, nb, x)
     return float(simpson(2.0 * x**3 * ua * ub, x=x))
 
 

@@ -26,8 +26,8 @@ from .averaging import averaged_fidelity, optimize_d11
 from .constants import TWOPI
 from .errors import ResonanceError, RydgateError
 from .gate import GateParams
-from .lengthscales import figure_of_merit, radii_point
-from .pair import PairState, forster_channels
+from .lengthscales import _level_system, figure_of_merit, radii_point
+from .pair import DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, PairState, forster_channels
 from .species import AtomSpecies
 
 __all__ = [
@@ -129,18 +129,6 @@ class RunManifest:
     @property
     def n_errors(self) -> int:
         return sum(1 for s in self.row_status if s.startswith("error"))
-
-
-def read_manifest(path) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return RunManifest(
-        tool_version=payload["tool_version"],
-        species_digest=payload["species_sha256"],
-        config=tuple(sorted(payload["config"].items())),
-        wall_clock_s=payload["wall_clock_s"],
-        row_status=tuple(payload["rows"]),
-    )
 
 
 def species_digest(data: bytes) -> str:
@@ -309,9 +297,8 @@ def merit_rows(species: AtomSpecies, n_values, temperature: float, workers: int 
 
 def _forster_row(args):
     species, n, threshold_hz, max_delta_n, max_l = args
-    from .levels import s_level
-
-    pair = PairState(s_level(n), s_level(n + 1))
+    control, target, _ = _level_system(n)
+    pair = PairState(control, target)
     try:
         channels = forster_channels(
             species, pair, max_delta_n=max_delta_n, max_l=max_l
@@ -339,8 +326,8 @@ def forster_rows(
     species: AtomSpecies,
     n_values,
     threshold_hz: float,
-    max_delta_n: int = 5,
-    max_l: int = 2,
+    max_delta_n: int = DEFAULT_MAX_DELTA_N,
+    max_l: int = DEFAULT_MAX_L,
     workers: int = 1,
 ):
     """Near-resonant channels across a range of n, sorted by |defect|."""

@@ -6,7 +6,9 @@ shift * d^3 (or * d^6) converging onto C3 (C6) is a real consistency test
 of both implementations. These are the slowest tests in the suite.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,7 +137,6 @@ def test_near_degenerate_channel_is_flagged(species):
 def test_c6_rb_70s_71s(species):
     coeffs = c6_coefficient(species, s_level(70), s_level(71))
     assert coeffs.c6_ghz_um6 == pytest.approx(1575.028270210703, rel=1e-6)
-    assert coeffs.dominant_channel is coeffs.channels[0]
 
 
 def test_c6_equals_channel_sum(species):
@@ -279,6 +280,28 @@ def test_shift_refuses_strong_mixing(species):
     pair = PairState(s_level(70), s_level(71))
     with pytest.raises(RydgateError):
         pair_hamiltonian_shift(species, pair, 1.0)
+
+
+PAIR_SHIFT_GOLDEN = Path(__file__).parent / "data" / "golden" / "pair_shift.json"
+
+
+def test_diagonalisation_route_reproduces_golden(species):
+    """pair_hamiltonian_shift at pair_diag's separations and c6_branches,
+    bitwise against stored repr floats; no command golden reaches them."""
+    golden = json.loads(PAIR_SHIFT_GOLDEN.read_text())
+    max_delta_n = golden["max_delta_n"]
+    for case in golden["pair_hamiltonian_shift"]:
+        pair = PairState(RydbergLevel(*case["a"]), RydbergLevel(*case["b"]))
+        if pair.b.L == 0:  # pair_diag's c6 case: d = 2.5 r_b6 at 1 MHz
+            c6 = c6_coefficient(species, pair.a, pair.b, max_delta_n=max_delta_n).c6_ghz_um6
+            assert repr(2.5 * (abs(c6) * 1e9 / 1e6) ** (1.0 / 6.0)) == case["d_um"]
+        d_um = float(case["d_um"])
+        shift = pair_hamiltonian_shift(species, pair, d_um, max_delta_n=max_delta_n)
+        assert repr(shift) == case["shift_hz"], pair.label
+    for case in golden["c6_branches"]:
+        a, b = RydbergLevel(*case["a"]), RydbergLevel(*case["b"])
+        branches = c6_branches(species, a, b, case["M"], max_delta_n=max_delta_n)
+        assert [repr(x) for x in branches] == case["c6_ghz_um6"], case["M"]
 
 
 def test_c3_against_diagonalisation_n50(species):

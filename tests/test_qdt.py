@@ -11,7 +11,8 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from rydgate.errors import RydgateError
+from rydgate import qdt
+from rydgate.errors import NumericsError, RydgateError
 from rydgate.levels import RydbergLevel, p_level, parse_level, s_level
 from rydgate.qdt import (
     GridSpec,
@@ -135,6 +136,20 @@ def test_matrix_element_selection_rule(species):
         radial_matrix_element(species, s_level(70), s_level(70))
     with pytest.raises(RydgateError, match="delta L"):
         radial_matrix_element(species, s_level(70), RydbergLevel(70, 2, 1.5))
+
+
+def test_matrix_element_runs_divergence_guard(species, monkeypatch):
+    """With the cutoff forced deep into the forbidden region, the 30D5/2
+    solution grows back inward; the matrix-element path must raise as
+    radial_wavefunction does, not return a number."""
+    monkeypatch.setattr(qdt, "_inner_cutoff", lambda n_star, L, has_core: 1e-3)
+    qdt._matrix_element_cached.cache_clear()
+    qdt._radial_solution_cached.cache_clear()
+    d, p = parse_level("30D5/2"), parse_level("30P3/2")
+    with pytest.raises(NumericsError, match="diverges"):
+        radial_matrix_element(species, d, p)
+    with pytest.raises(NumericsError, match="diverges"):
+        radial_wavefunction(species, d)
 
 
 def test_matrix_element_grid_convergence(species):

@@ -2,6 +2,7 @@
 and the row builders behind each CLI table."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from rydgate.sweeps import (
     make_manifest,
     merit_rows,
     radii_rows,
-    read_manifest,
     run_indexed,
     species_digest,
 )
@@ -74,12 +74,13 @@ def test_manifest_round_trip(tmp_path):
     )
     path = tmp_path / "run.json"
     manifest.write(path)
-    loaded = read_manifest(path)
-    assert loaded.species_digest == "deadbeef"
-    assert loaded.config == manifest.config
-    assert loaded.row_status == ("ok", "error: no window", "ok")
-    assert loaded.n_errors == 1
-    assert loaded.tool_version == manifest.tool_version
+    payload = json.loads(path.read_text())
+    assert payload["species_sha256"] == "deadbeef"
+    assert tuple(sorted(payload["config"].items())) == manifest.config
+    assert payload["rows"] == ["ok", "error: no window", "ok"]
+    assert payload["wall_clock_s"] == 1.25
+    assert payload["tool_version"] == manifest.tool_version
+    assert manifest.n_errors == 1
 
 
 def test_species_digest_is_sha256():
