@@ -27,7 +27,7 @@ from .angular import angular_block, angular_factor, exchange_singular_value, pai
 from .constants import C3_PREFACTOR_HZ_UM3
 from .errors import ResonanceError, RydgateError
 from .levels import RydbergLevel
-from .qdt import GridSpec, level_energy, radial_matrix_element
+from .qdt import GridSpec, level_energy, radial_matrix_element, radial_matrix_elements
 from .species import AtomSpecies
 
 __all__ = [
@@ -181,10 +181,12 @@ def forster_channels(
     if max_delta_n < 0:
         raise ValueError("max_delta_n must be non-negative")
     e_initial = pair_energy(species, pair.a, pair.b)
+    finals = list(_coupled_finals(pair.a, pair.b, pair.M, max_delta_n, max_l))
+    radial = radial_matrix_elements(
+        species, [p for fa, fb, _ in finals for p in ((pair.a, fa), (pair.b, fb))], grid
+    )
     channels = []
-    for final_a, final_b, factor in _coupled_finals(pair.a, pair.b, pair.M, max_delta_n, max_l):
-        r1 = radial_matrix_element(species, pair.a, final_a, grid)
-        r2 = radial_matrix_element(species, pair.b, final_b, grid)
+    for (final_a, final_b, factor), r1, r2 in zip(finals, radial[::2], radial[1::2]):
         coupling = C3_PREFACTOR_HZ_UM3 * 1e-9 * r1 * r2 * factor
         if coupling == 0.0:
             continue
@@ -331,21 +333,6 @@ def _first_shell_manifolds(
     return list(dict.fromkeys(initial + finals))
 
 
-def _radial_gather(
-    species: AtomSpecies,
-    grid: GridSpec | None,
-    levels: list[RydbergLevel],
-    table: np.ndarray,
-    p: np.ndarray,
-    q: np.ndarray,
-) -> np.ndarray:
-    """``table[p, q]`` of radial integrals, filling each missing level pair once."""
-    for a, b in dict.fromkeys(zip(p.tolist(), q.tolist())):
-        if np.isnan(table[a, b]):
-            table[a, b] = table[b, a] = radial_matrix_element(species, levels[a], levels[b], grid)
-    return table[p, q]
-
-
 def _pair_hamiltonian(
     species: AtomSpecies,
     pair: PairState,
@@ -370,9 +357,10 @@ def _pair_hamiltonian(
 
     # V_dd couplings. A block depends only on the angular class (L, J per
     # atom) of its two manifolds, so each class pair builds it once and
-    # writes all of its manifold pairs with one gather, and each radial
-    # integral is looked up once per level pair. The lower-index manifold
-    # is the source and every element is formed as scale * r1 * r2 * block.
+    # writes all of its manifold pairs with one gather. The radial
+    # integrals of every coupled level pair come from one request first.
+    # The lower-index manifold is the source and every element is formed
+    # as scale * r1 * r2 * block.
     classes: dict[tuple, list[int]] = {}
     for idx, (pa, pb) in enumerate(manifolds):
         classes.setdefault((pa.L, pa.J, pb.L, pb.J), []).append(idx)
@@ -380,10 +368,7 @@ def _pair_hamiltonian(
     atoms = np.array(
         [[level_index.setdefault(lv, len(level_index)) for lv in m] for m in manifolds]
     )
-    levels = list(level_index)
-    radial = np.full((len(levels), len(levels)), np.nan)
-    starts = np.array([off for off, _ in offsets])
-    scale = C3_PREFACTOR_HZ_UM3 / d_um**3
+    blocks = []
     for src in classes.values():
         for dst in classes.values():
             i, k = np.meshgrid(src, dst, indexing="ij")
@@ -393,16 +378,33 @@ def _pair_hamiltonian(
             pa, pb = manifolds[src[0]]
             pc, pd = manifolds[dst[0]]
             block = angular_block(pa, pb, pc, pd, pair.M)
-            if not block.any():
-                continue
-            i, k = i[below], k[below]
-            r1 = _radial_gather(species, grid, levels, radial, atoms[i, 0], atoms[k, 0])
-            r2 = _radial_gather(species, grid, levels, radial, atoms[i, 1], atoms[k, 1])
-            sub = (scale * r1 * r2)[:, None, None] * block
-            rows = starts[k][:, None] + np.arange(block.shape[0])
-            cols = starts[i][:, None] + np.arange(block.shape[1])
-            hamiltonian[rows[:, :, None], cols[:, None, :]] = sub
-            hamiltonian[cols[:, :, None], rows[:, None, :]] = sub.transpose(0, 2, 1)
+            if block.any():
+                blocks.append((block, i[below], k[below]))
+
+    levels = list(level_index)
+    radial = np.zeros((len(levels), len(levels)))
+    if blocks:
+        # Each unordered level pair once, in first-seen order.
+        p, q = np.concatenate(
+            [[atoms[i, atom], atoms[k, atom]] for _, i, k in blocks for atom in (0, 1)], axis=1
+        )
+        p, q = np.minimum(p, q), np.maximum(p, q)
+        first = np.sort(np.unique(p * len(levels) + q, return_index=True)[1])
+        p, q = p[first], q[first]
+        radial[p, q] = radial[q, p] = radial_matrix_elements(
+            species, [(levels[a], levels[b]) for a, b in zip(p.tolist(), q.tolist())], grid
+        )
+
+    starts = np.array([off for off, _ in offsets])
+    scale = C3_PREFACTOR_HZ_UM3 / d_um**3
+    for block, i, k in blocks:
+        r1 = radial[atoms[i, 0], atoms[k, 0]]
+        r2 = radial[atoms[i, 1], atoms[k, 1]]
+        sub = (scale * r1 * r2)[:, None, None] * block
+        rows = starts[k][:, None] + np.arange(block.shape[0])
+        cols = starts[i][:, None] + np.arange(block.shape[1])
+        hamiltonian[rows[:, :, None], cols[:, None, :]] = sub
+        hamiltonian[cols[:, :, None], rows[:, None, :]] = sub.transpose(0, 2, 1)
     return hamiltonian, offsets
 
 

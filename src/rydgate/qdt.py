@@ -17,12 +17,19 @@ of the core radius a0 n*^(1/3) and the classical inner turning point. Levels
 with zero quantum defect have no core region to excise, so their cutoff
 drops to max(1e-3 a0, 0.05 x inner turning point); a divergence guard raises
 if an inward solution grows back in the classically forbidden region.
+
+Solves run in vectorised passes, one row per (level, grid), and each row is
+bitwise the scalar recurrence. ``radial_matrix_elements`` solves all the
+uncached elements of one request together, each level once per distinct
+grid; a single element or wavefunction is a request of one.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +47,7 @@ __all__ = [
     "level_energy",
     "radial_wavefunction",
     "radial_matrix_element",
+    "radial_matrix_elements",
     "lifetime",
 ]
 
@@ -105,31 +113,74 @@ def _inner_cutoff(n_star: float, L: int, has_core: bool) -> float:
     return max(1e-3, 0.05 * r_turn)
 
 
+# Solves per Numerov pass: wide enough to spread the per-step numpy calls
+# over many levels, narrow enough that a pass's temporaries (about ten
+# arrays of rows x grid points) stay a few megabytes.
+_PASS_ROWS = 32
+# Inward steps taken between two checks for the 1e250 rescale.
+_RESCALE_STRIDE = 64
+
+
 def _numerov_inward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Integrate w'' = g w inward over a uniform grid x, seeded at the tail."""
-    h2 = (x[1] - x[0]) ** 2
-    # Python floats, not numpy scalars: the same IEEE doubles, but the
-    # scalar recurrence runs several times faster on them.
-    f = (1.0 - (h2 / 12.0) * g).tolist()
-    w = [0.0] * len(x)
+    """Integrate w'' = g w inward along each row of x, seeded at the tail.
+
+    Each row of x is a uniform grid and the same row of g its G(x). Row by
+    row, the result is bitwise that of the scalar recurrence
+    w_{k-1} f_{k-1} = (12 - 10 f_k) w_k - f_{k+1} w_{k+1}, which divides the
+    whole row by 1e250 at the first step whose value exceeds that. Here the
+    steps run in strides without that test; a stride in which some row went
+    past it is taken back to the first such step, and those rows rescaled.
+    """
+    # Per row, as a one-level solve has it: a numpy-scalar square can differ
+    # in the last bit from the array square.
+    h2 = np.array([(row[1] - row[0]) ** 2 for row in x])
+    # Grid points along axis 0, so each step reads and writes contiguous
+    # rows. In-place steps keep the pass to a few arrays of its size.
+    f = np.multiply(g.T, h2 / 12.0, order="C")
+    np.subtract(1.0, f, out=f)
+    a = np.multiply(f, 10.0)
+    np.subtract(12.0, a, out=a)
+    w = np.zeros_like(f)
     w[-2] = 1e-12
-    # w_{k-1} f_{k-1} = (12 - 10 f_k) w_k - f_{k+1} w_{k+1}
-    for k in range(len(x) - 2, 0, -1):
-        w[k - 1] = ((12.0 - 10.0 * f[k]) * w[k] - f[k + 1] * w[k + 1]) / f[k - 1]
-        if abs(w[k - 1]) > 1e250:
-            w = [v / 1e250 for v in w]
-    return np.array(w)
+    f_at, a_at, w_at = list(f), list(a), list(w)
+    tmp = np.empty(len(x))
+    k = len(f) - 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k > 0:
+            stop = max(k - _RESCALE_STRIDE, 0)
+            for j in range(k, stop, -1):
+                out = w_at[j - 1]
+                np.multiply(a_at[j], w_at[j], out)
+                np.multiply(f_at[j + 1], w_at[j + 1], tmp)
+                np.subtract(out, tmp, out)
+                np.divide(out, f_at[j - 1], out)
+            big = np.abs(w[stop:k]) > 1e250
+            steps = np.flatnonzero(big.any(axis=1))
+            if steps.size:
+                stop += steps[-1]
+                w[stop:, big[steps[-1]]] /= 1e250
+            k = stop
+    del f, a, f_at, a_at, w_at  # freed before the transposed copy is made
+    return np.ascontiguousarray(w.T)
 
 
-def _solve_on_grid(
-    n_star: float, L: int, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (r, u) unnormalised for energy -1/(2 n*^2) on sqrt-grid x."""
-    g = -8.0 + 4.0 * x**2 / n_star**2 + (4.0 * L * (L + 1) + 0.75) / x**2
-    w = _numerov_inward(x, g)
-    r = x * x
-    u = np.sqrt(x) * w
-    return r, u
+def _solve_on_grid(n_star: list[float], L: list[int], x: np.ndarray) -> np.ndarray:
+    """u unnormalised, one row per level: energy -1/(2 n*^2) and orbital
+    momentum L on the sqrt-grid row of x."""
+    # Python-float constants per row, as a one-level solve has them.
+    n2 = np.array([[v**2] for v in n_star])
+    c = np.array([[4.0 * l * (l + 1) + 0.75] for l in L])
+    # g = -8 + 4 x^2 / n*^2 + c / x^2, in place.
+    x2 = x * x
+    g = np.multiply(x2, 4.0)
+    g /= n2
+    g += -8.0
+    g += np.divide(c, x2, out=x2)
+    del x2
+    u = _numerov_inward(x, g)
+    del g
+    u *= np.sqrt(x)
+    return u
 
 
 def _check_divergence(
@@ -163,16 +214,25 @@ def _count_nodes(u: np.ndarray) -> int:
     return int(np.count_nonzero(np.signbit(sig[1:]) != np.signbit(sig[:-1])))
 
 
-def _normalised_solution(
-    level: RydbergLevel, n_star: float, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(r, u) on sqrt-grid x, divergence-guarded and normalised to unit norm."""
-    r, u = _solve_on_grid(n_star, level.L, x)
-    _check_divergence(level, n_star, r, u)
-    norm2 = float(simpson(2.0 * x * u * u, x=x))
-    if norm2 <= 0.0 or not math.isfinite(norm2):
-        raise NumericsError(f"{level}: non-finite norm in radial solution")
-    return r, u / math.sqrt(norm2)
+def _normalised_solutions(
+    levels: list[RydbergLevel], n_stars: list[float], xs: list[np.ndarray]
+) -> np.ndarray:
+    """u for each level on its sqrt-grid xs[i], one row each, divergence-guarded
+    and normalised to unit norm; raises for the first bad level in list order."""
+    u = np.empty((len(xs), len(xs[0])))
+    for lo in range(0, len(xs), _PASS_ROWS):
+        hi = lo + _PASS_ROWS
+        x = np.stack(xs[lo:hi])
+        w = _solve_on_grid(n_stars[lo:hi], [lv.L for lv in levels[lo:hi]], x)
+        norm2 = simpson(2.0 * x * w * w, x=x, axis=-1)
+        for level, n_star, x_row, w_row, n2 in zip(
+            levels[lo:hi], n_stars[lo:hi], x, w, norm2.tolist()
+        ):
+            _check_divergence(level, n_star, x_row * x_row, w_row)
+            if n2 <= 0.0 or not math.isfinite(n2):
+                raise NumericsError(f"{level}: non-finite norm in radial solution")
+        np.divide(w, np.sqrt(norm2)[:, None], out=u[lo:hi])
+    return u
 
 
 @functools.lru_cache(maxsize=4096)
@@ -186,13 +246,14 @@ def _radial_solution_cached(
     if r_in >= r_out:
         raise NumericsError(f"{level}: inner cutoff {r_in} exceeds outer {r_out}")
     x = np.linspace(math.sqrt(r_in), math.sqrt(r_out), grid.points)
-    r, u = _normalised_solution(level, n_star, x)
+    u = _normalised_solutions([level], [n_star], [x])[0]
     if u[int(np.argmax(np.abs(u)))] < 0.0:
         u = -u
 
     coarse = float(simpson(2.0 * x[::2] * u[::2] ** 2, x=x[::2]))
     norm_error = abs(coarse - 1.0)
 
+    r = x * x
     u.setflags(write=False)
     r.setflags(write=False)
     return RadialSolution(
@@ -212,28 +273,133 @@ def radial_wavefunction(
     return _radial_solution_cached(species, level, grid or GridSpec())
 
 
-@functools.lru_cache(maxsize=65536)
-def _matrix_element_cached(
-    species: AtomSpecies,
-    level_a: RydbergLevel,
-    level_b: RydbergLevel,
-    grid: GridSpec,
-) -> float:
-    na = effective_quantum_number(species, level_a)
-    nb = effective_quantum_number(species, level_b)
-    d0a, _ = species.defect_coefficients(level_a.L, level_a.J)
-    d0b, _ = species.defect_coefficients(level_b.L, level_b.J)
-    # Shared grid: the wider outer range and the safer (larger) inner cutoff.
-    r_in = max(
-        _inner_cutoff(na, level_a.L, has_core=d0a != 0.0),
-        _inner_cutoff(nb, level_b.L, has_core=d0b != 0.0),
-    )
-    r_out = max(2.0 * na * (na + 15.0), 2.0 * nb * (nb + 15.0))
-    x = np.linspace(math.sqrt(r_in), math.sqrt(r_out), grid.points)
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-    _, ua = _normalised_solution(level_a, na, x)
-    _, ub = _normalised_solution(level_b, nb, x)
-    return float(simpson(2.0 * x**3 * ua * ub, x=x))
+
+def _element_cache(maxsize: int) -> types.SimpleNamespace:
+    """LRU tables of matrix elements, one per (species, grid), filled a request at a time.
+
+    Keys are level pairs as (n, L, J, n, L, J) tuples, which hash far faster
+    than the level and species records. ``take(species, grid, keys)``
+    returns the cached values and the missing keys in first-seen order;
+    ``put(species, grid, values)`` stores a solved request. Hits and misses
+    count as lru_cache would for the same keys looked up one by one, so a
+    repeat of a missing key is a hit. Built from closures, not as a class:
+    perfbench finds caches as module values with a callable
+    ``cache_clear``, which a class would have too.
+    """
+    tables: dict[tuple, collections.OrderedDict] = {}
+    counts = collections.Counter()
+
+    def take(species, grid, keys):
+        table = tables.setdefault((species, grid), collections.OrderedDict())
+        found, missing = {}, {}
+        for key in keys:
+            if key in table:
+                table.move_to_end(key)
+                found[key] = table[key]
+            elif key not in missing:
+                missing[key] = None
+                counts["misses"] += 1
+                continue
+            counts["hits"] += 1
+        return found, list(missing)
+
+    def put(species, grid, values):
+        table = tables[species, grid]
+        table.update(values)
+        while len(table) > maxsize:
+            table.popitem(last=False)
+
+    def cache_info():
+        size = sum(len(table) for table in tables.values())
+        return _CacheInfo(counts["hits"], counts["misses"], maxsize, size)
+
+    def cache_clear():
+        tables.clear()
+        counts.clear()
+
+    return types.SimpleNamespace(
+        take=take, put=put, cache_info=cache_info, cache_clear=cache_clear
+    )
+
+
+_matrix_element_cached = _element_cache(maxsize=65536)
+
+
+def _solve_elements(
+    species: AtomSpecies,
+    pairs: list[tuple[RydbergLevel, RydbergLevel]],
+    grid: GridSpec,
+) -> list[float]:
+    """<a| r |b> for distinct level pairs, each solved on the pair's shared grid.
+
+    Each level is solved once per distinct grid, all of them together.
+    """
+    grids: dict[tuple[float, float], int] = {}  # (r_in, r_out) -> index into xs
+    rows: dict[tuple[RydbergLevel, int], int] = {}  # (level, grid) -> solve row
+    xs, levels, n_stars, row_grids, plan = [], [], [], [], []
+    for level_a, level_b in pairs:
+        na = effective_quantum_number(species, level_a)
+        nb = effective_quantum_number(species, level_b)
+        d0a, _ = species.defect_coefficients(level_a.L, level_a.J)
+        d0b, _ = species.defect_coefficients(level_b.L, level_b.J)
+        # Shared grid: the wider outer range and the safer (larger) inner cutoff.
+        r_in = max(
+            _inner_cutoff(na, level_a.L, has_core=d0a != 0.0),
+            _inner_cutoff(nb, level_b.L, has_core=d0b != 0.0),
+        )
+        r_out = max(2.0 * na * (na + 15.0), 2.0 * nb * (nb + 15.0))
+        gi = grids.setdefault((r_in, r_out), len(grids))
+        if gi == len(xs):
+            xs.append(np.linspace(math.sqrt(r_in), math.sqrt(r_out), grid.points))
+        for level, n_star in ((level_a, na), (level_b, nb)):
+            if rows.setdefault((level, gi), len(rows)) == len(levels):
+                levels.append(level)
+                n_stars.append(n_star)
+                row_grids.append(gi)
+        plan.append((gi, rows[level_a, gi], rows[level_b, gi]))
+    u = _normalised_solutions(levels, n_stars, [xs[gi] for gi in row_grids])
+    values = []
+    for lo in range(0, len(plan), _PASS_ROWS):
+        gis, ia, ib = (list(col) for col in zip(*plan[lo : lo + _PASS_ROWS]))
+        x = np.stack([xs[gi] for gi in gis])
+        y = x**3
+        y *= 2.0
+        y *= u[ia]
+        y *= u[ib]
+        values += simpson(y, x=x, axis=-1).tolist()
+    return values
+
+
+def radial_matrix_elements(
+    species: AtomSpecies,
+    pairs: list[tuple[RydbergLevel, RydbergLevel]],
+    grid: GridSpec | None = None,
+) -> list[float]:
+    """<a| r |b> in Bohr radii for each (a, b) in pairs, in one request.
+
+    Each element is ``radial_matrix_element(species, a, b, grid)``; the
+    uncached ones are solved together, each level once per distinct grid.
+    """
+    grid = grid or GridSpec()
+    keys = []
+    for level_a, level_b in pairs:
+        if abs(level_a.L - level_b.L) != 1:
+            raise RydgateError(
+                f"dipole matrix element needs |delta L| = 1, "
+                f"got {level_a.label} and {level_b.label}"
+            )
+        # The lower level first, as RydbergLevel orders them.
+        a, b = (level_a.n, level_a.L, level_a.J), (level_b.n, level_b.L, level_b.J)
+        keys.append(b + a if b < a else a + b)
+    found, missing = _matrix_element_cached.take(species, grid, keys)
+    if missing:
+        levels = [(RydbergLevel(*key[:3]), RydbergLevel(*key[3:])) for key in missing]
+        solved = dict(zip(missing, _solve_elements(species, levels, grid)))
+        _matrix_element_cached.put(species, grid, solved)
+        found.update(solved)
+    return [found[key] for key in keys]
 
 
 def radial_matrix_element(
@@ -248,14 +414,7 @@ def radial_matrix_element(
     its level arguments; the magnitude is what enters interaction
     coefficients.
     """
-    if abs(level_a.L - level_b.L) != 1:
-        raise RydgateError(
-            f"dipole matrix element needs |delta L| = 1, "
-            f"got {level_a.label} and {level_b.label}"
-        )
-    if level_b < level_a:
-        level_a, level_b = level_b, level_a
-    return _matrix_element_cached(species, level_a, level_b, grid or GridSpec())
+    return radial_matrix_elements(species, [(level_a, level_b)], grid)[0]
 
 
 def lifetime(species: AtomSpecies, level: RydbergLevel, temperature: float) -> float:

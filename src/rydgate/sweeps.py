@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -94,10 +95,16 @@ class SweepSpec:
             raise ValueError("axis values must be strictly monotone")
         if self.d11_mode not in ("opt", "fixed"):
             raise ValueError("d11_mode must be 'opt' or 'fixed'")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"axis values must be finite, got {list(self.values)}")
         if self.axis == "n":
             bad = [v for v in self.values if float(v) != int(v) or v < 1]
             if bad:
                 raise ValueError(f"n axis values must be positive integers, got {bad}")
+        else:
+            # Every value must make a valid working point before any row runs.
+            for v in self.values:
+                dataclasses.replace(self.fixed, **{self.axis: float(v)})
 
 
 @dataclasses.dataclass(frozen=True)

@@ -213,6 +213,11 @@ def test_forster_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
         ("fidelity", "--values", "abc"),
         ("fidelity", "--values", "5:1:10:log"),
         ("fidelity", "--d11", "sideways"),
+        ("fidelity", "--values", "0"),
+        ("fidelity", "--axis", "omega_c", "--values=0,1"),
+        ("fidelity", "--axis", "q", "--values=-1,1"),
+        ("fidelity", "--axis", "temperature", "--values=-1,1"),
+        ("fidelity", "--axis", "n", "--values", "50,inf"),
         ("merit", "--radiation-temp-k", "-5"),
         ("forster", "--threshold-mhz", "-2"),
     ],

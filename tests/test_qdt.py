@@ -14,6 +14,7 @@ import pytest
 from rydgate import qdt
 from rydgate.errors import NumericsError, RydgateError
 from rydgate.levels import RydbergLevel, p_level, parse_level, s_level
+from rydgate.pair import PairState, forster_channels
 from rydgate.qdt import (
     GridSpec,
     _numerov_inward,
@@ -152,6 +153,67 @@ def test_matrix_element_runs_divergence_guard(species, monkeypatch):
         radial_wavefunction(species, d)
 
 
+def _cutoff_patch(original):
+    # Levels above n* = 30 lose their cutoff, so pairs of them diverge; the
+    # rest move outward, so every element solved under the patch is off.
+    return lambda n_star, L, has_core: (
+        1e-3 if n_star > 30.0 else 1.5 * original(n_star, L, has_core)
+    )
+
+
+def test_failed_request_raises_first_serial_level_and_stores_nothing(species, monkeypatch):
+    """Under the patch several levels of one forster_channels request diverge
+    (35P1/2, 32D3/2, 33P1/2, ...). The request names 35P1/2, the first of
+    them when its elements are solved one by one in channel order, and
+    stores nothing, so no element solved under the patch outlives it."""
+    pair = PairState(s_level(34), p_level(35, 0.5))
+    qdt._matrix_element_cached.cache_clear()
+    expected = forster_channels(species, pair)
+    qdt._matrix_element_cached.cache_clear()
+    monkeypatch.setattr(qdt, "_inner_cutoff", _cutoff_patch(qdt._inner_cutoff))
+    with pytest.raises(NumericsError, match=r"^35P1/2: inward solution diverges"):
+        forster_channels(species, pair)
+    # Three elements that each fail alone, at 36P3/2, 35P3/2 and 34D3/2,
+    # solved in one pass: the first in request order wins.
+    request = [
+        (s_level(30), p_level(30, 0.5)),
+        (p_level(36, 1.5), s_level(36)),
+        (RydbergLevel(35, 2, 2.5), p_level(35, 1.5)),
+        (RydbergLevel(34, 2, 1.5), p_level(35, 0.5)),
+    ]
+    with pytest.raises(NumericsError, match=r"^36P3/2: inward solution diverges"):
+        qdt.radial_matrix_elements(species, request)
+    assert qdt._matrix_element_cached.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert forster_channels(species, pair) == expected
+
+
+def test_matrix_element_cache_counts_each_element_as_one_call(species):
+    """A request counts as lru_cache would count its elements asked one by
+    one: the first sight of a missing element is a miss, later ones hits."""
+    pair = PairState(s_level(60), s_level(61))
+    qdt._matrix_element_cached.cache_clear()
+    channels = forster_channels(species, pair)
+    calls = [
+        frozenset(levels)
+        for ch in channels
+        for levels in ((pair.a, ch.final.a), (pair.b, ch.final.b))
+    ]
+    distinct = len(set(calls))
+    assert distinct < len(calls)
+    info = qdt._matrix_element_cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (len(calls) - distinct, distinct, distinct)
+    forster_channels(species, pair)
+    radial_matrix_element(species, p_level(60, 0.5), pair.a)
+    radial_matrix_element(species, pair.a, p_level(70, 0.5))
+    info = qdt._matrix_element_cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (
+        2 * len(calls) - distinct + 1,
+        distinct + 1,
+        distinct + 1,
+    )
+
+
 def test_matrix_element_grid_convergence(species):
     """Doubling grid density moves the 70S-70P element by < 0.1%."""
     a, b = s_level(70), p_level(70, 0.5)
@@ -182,6 +244,20 @@ def _numerov_linear(n_star, L, r_in, r_out, points):
     return r, u
 
 
+def _numerov_inward_scalar(x, g):
+    """The inward recurrence one level at a time on Python floats: the
+    bitwise reference for the batched kernel, rescale branch included."""
+    h2 = (x[1] - x[0]) ** 2
+    f = (1.0 - (h2 / 12.0) * g).tolist()
+    w = [0.0] * len(x)
+    w[-2] = 1e-12
+    for k in range(len(x) - 2, 0, -1):
+        w[k - 1] = ((12.0 - 10.0 * f[k]) * w[k] - f[k + 1] * w[k + 1]) / f[k - 1]
+        if abs(w[k - 1]) > 1e250:
+            w = [v / 1e250 for v in w]
+    return np.array(w)
+
+
 def _numerov_inward_decimal(x, g):
     """The inward recurrence in decimal arithmetic, whose exponent range
     never overflows, so it needs no rescaling. Oracle for the float loop."""
@@ -200,7 +276,7 @@ def test_numerov_inward_rescale_branch_matches_decimal_oracle():
     g = 4e5 + 1e3 * x
     oracle = _numerov_inward_decimal(x, g)
     peak = max(abs(v) for v in oracle)
-    got = _numerov_inward(x, g)
+    got = _numerov_inward(x[None], g[None])[0]
     assert got.dtype == np.float64
     # The true solution spans more than 1e500 while every float value stays
     # at most 1e251, so the 1e250 rescale branch ran at least twice.
@@ -208,6 +284,49 @@ def test_numerov_inward_rescale_branch_matches_decimal_oracle():
     assert np.max(np.abs(got)) <= 1e251
     shape = np.array([float(v / peak) for v in oracle])
     assert np.max(np.abs(got / np.max(np.abs(got)) - shape)) < 1e-12
+
+
+def _physical_rows(species, levels):
+    """(x, g) of each level on its own sqrt-grid, computed as a one-level solve."""
+    rows = []
+    for level in levels:
+        n_star = effective_quantum_number(species, level)
+        r_in = n_star ** (1.0 / 3.0)
+        x = np.linspace(math.sqrt(r_in), math.sqrt(2.0 * n_star * (n_star + 15.0)), 2000)
+        g = -8.0 + 4.0 * x**2 / n_star**2 + (4.0 * level.L * (level.L + 1) + 0.75) / x**2
+        rows.append((x, g))
+    return rows
+
+
+def test_batched_kernel_matches_scalar_reference_bitwise(species):
+    """One batch of two steep rows that pass the 1e250 rescale at different
+    steps and physical rows that never reach it: every row equals the scalar
+    recurrence bitwise, so rescaling every row, or none, fails."""
+    steep = np.linspace(1.0, 3.0, 2000)
+    physical = _physical_rows(
+        species, [s_level(70), p_level(70, 0.5), RydbergLevel(69, 2, 2.5), s_level(30)]
+    )
+    rows = physical[:2] + [(steep, 4e5 + 1e3 * steep)] + physical[2:]
+    rows.append((steep, 3e5 + 2e3 * steep))
+    x = np.array([x for x, _ in rows])
+    g = np.array([g for _, g in rows])
+    got = _numerov_inward(x, g)
+    for (x_row, g_row), row in zip(rows, got):
+        ref = _numerov_inward_scalar(x_row, g_row)
+        assert np.array_equal(row, ref)
+    # A rescale divides the 1e-12 tail seed too; only the steep rows had one.
+    assert [row[-2] == 1e-12 for row in got] == [True, True, False, True, True, False]
+
+
+def test_solve_on_grid_rows_match_one_level_solves(species):
+    """Each row of a batched solve is bitwise a one-level solve on the scalar
+    recurrence, with h^2 and n*^2 formed as that solve forms them."""
+    levels = [s_level(50), p_level(70, 0.5), RydbergLevel(71, 2, 1.5)]
+    rows = _physical_rows(species, levels)
+    n_stars = [effective_quantum_number(species, lv) for lv in levels]
+    u = qdt._solve_on_grid(n_stars, [lv.L for lv in levels], np.array([x for x, _ in rows]))
+    for (x, g), u_row in zip(rows, u):
+        assert np.array_equal(u_row, np.sqrt(x) * _numerov_inward_scalar(x, g))
 
 
 def _count_sign_changes(u):

@@ -58,6 +58,12 @@ def test_sweep_spec_validation(species):
         SweepSpec(axis="n", values=(60.5, 70.0), fixed=fixed)
     with pytest.raises(ValueError):
         SweepSpec(axis="n", values=(-10.0,), fixed=fixed)
+    with pytest.raises(ValueError, match="finite"):
+        SweepSpec(axis="n", values=(50.0, math.inf), fixed=fixed)
+    with pytest.raises(ValueError, match="Rabi"):
+        SweepSpec(**{**good, "values": (0.0, 1e6)})
+    with pytest.raises(ValueError, match="q must"):
+        SweepSpec(axis="q", values=(-1.0, 1.0), fixed=fixed)
     # descending is fine, it is still strictly monotone
     SweepSpec(**{**good, "values": (2e6, 1e6)})
 
