@@ -47,7 +47,7 @@ def main():
           f"{sol.nodes} radial nodes, norm error {sol.norm_error:.1e}")
 
     series = []
-    for level, color in ((s_level(70), None), (p_level(70, 0.5), None)):
+    for level in (s_level(70), p_level(70, 0.5)):
         sol = radial_wavefunction(species, level)
         series.append(Series(tuple(sol.r), tuple(sol.u), level.label))
     path = OUT / "radial_70.svg"

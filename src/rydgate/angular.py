@@ -196,12 +196,15 @@ def dipole_component(Lc, Jc, mc, La, Ja, ma) -> float:
 
 
 def pair_m_states(Ja: float, Jb: float, M: float) -> list[tuple[float, float]]:
-    """All (ma, mb) with ma + mb = M, ordered by decreasing ma."""
+    """All (ma, mb) with ma + mb = M, ordered by decreasing ma.
+
+    Empty when M has the wrong parity for Ja + Jb (mb must step with Jb).
+    """
     out = []
     tja, tjb, tm = _two_j(Ja), _two_j(Jb), _two_j(M)
     for tma in range(tja, -tja - 1, -2):
         tmb = tm - tma
-        if abs(tmb) <= tjb:
+        if abs(tmb) <= tjb and (tjb - tmb) % 2 == 0:
             out.append((tma / 2.0, tmb / 2.0))
     return out
 

@@ -249,8 +249,9 @@ def _fidelity(s, species, csv_path):
 
 
 def _forster(s, species, csv_path):
-    if s["threshold_mhz"] < 0:
-        raise UsageError(f"--threshold-mhz must be non-negative, got {s['threshold_mhz']}")
+    for key in ("threshold_mhz", "max_delta_n", "max_l"):
+        if s[key] < 0:
+            raise UsageError(f"--{key.replace('_', '-')} must be non-negative, got {s[key]}")
     rows = forster_rows(
         species,
         _parse_n_range(s["n"]),
@@ -397,6 +398,8 @@ def _run_command(args) -> int:
     _, settings, run = _COMMANDS[command]
     settings = _COMMON + settings
     s = _resolve_settings(args, settings)
+    if s["workers"] < 1:
+        raise UsageError(f"--workers must be at least 1, got {s['workers']}")
     outdir = s["out"] = s["out"] or "."
     os.makedirs(outdir, exist_ok=True)
     species, digest, s["species"] = _load_species_arg(s["species"])

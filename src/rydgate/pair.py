@@ -10,8 +10,12 @@ Sign conventions, fixed here once:
 
 Dipole-coupled pairs (resonant exchange, 1/d^3) and van der Waals pairs
 (1/d^6) are both covered; ``c6_coefficient`` gives the manifold mean of
-the van der Waals shift and ``c6_branches`` its eigen-shifts.
-``pair_hamiltonian_shift`` diagonalises the pair Hamiltonian on the
+the van der Waals shift and ``c6_branches`` its eigen-shifts. Both refuse
+a channel whose defect is below ``RESONANCE_THRESHOLD_HZ``, where the
+second-order sum is meaningless. Each call forms a channel's angular
+factor once per (L, J) class pair, each level's energy once, and takes
+its radial integrals in one request; all of them use the default radial
+grid. ``pair_hamiltonian_shift`` diagonalises the pair Hamiltonian on the
 first shell of dipole-connected states and is the independent
 cross-check for all of them.
 """
@@ -27,7 +31,7 @@ from .angular import angular_block, angular_factor, exchange_singular_value, pai
 from .constants import C3_PREFACTOR_HZ_UM3
 from .errors import ResonanceError, RydgateError
 from .levels import RydbergLevel
-from .qdt import GridSpec, level_energy, radial_matrix_element, radial_matrix_elements
+from .qdt import level_energy, radial_matrix_element, radial_matrix_elements
 from .species import AtomSpecies
 
 __all__ = [
@@ -42,12 +46,12 @@ __all__ = [
     "pair_hamiltonian_shift",
     "DEFAULT_MAX_DELTA_N",
     "DEFAULT_MAX_L",
-    "DEFAULT_RESONANCE_THRESHOLD_HZ",
+    "RESONANCE_THRESHOLD_HZ",
 ]
 
 DEFAULT_MAX_DELTA_N = 5
 DEFAULT_MAX_L = 2
-DEFAULT_RESONANCE_THRESHOLD_HZ = 10e6
+RESONANCE_THRESHOLD_HZ = 10e6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,20 +77,17 @@ class PairState:
 
 @dataclasses.dataclass(frozen=True)
 class ForsterChannel:
-    """One two-atom dipole channel initial -> final at the initial state's M.
+    """One two-atom dipole channel out of a pair state, at that state's M.
 
     ``coupling_ghz_um3`` is the signed product K3 * R1 * R2 * A_rms; its
     square divided by ``E_i - E_f`` (in GHz) gives ``contribution_ghz_um6``,
-    the channel's additive part of C6. ``resonant`` marks defects below
-    the perturbative threshold.
+    the channel's additive part of C6.
     """
 
-    initial: PairState
     final: PairState
     defect_hz: float
     coupling_ghz_um3: float
     contribution_ghz_um6: float
-    resonant: bool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,7 +108,6 @@ def c3_coefficient(
     level_a: RydbergLevel,
     level_b: RydbergLevel,
     M: float = 0.0,
-    grid: GridSpec | None = None,
 ) -> float:
     """Resonant exchange coefficient |C3| in GHz um^3 for the pair (a, b).
 
@@ -122,7 +122,7 @@ def c3_coefficient(
             f"levels {level_a.label} and {level_b.label} are not dipole-coupled "
             "(need Delta L = +/-1 on both atoms); no resonant exchange interaction"
         )
-    radial = radial_matrix_element(species, level_a, level_b, grid)
+    radial = radial_matrix_element(species, level_a, level_b)
     return C3_PREFACTOR_HZ_UM3 * 1e-9 * radial * radial * sigma
 
 
@@ -151,12 +151,19 @@ def _orderings(
 def _coupled_finals(
     a: RydbergLevel, b: RydbergLevel, M: float, max_delta_n: int, max_l: int
 ) -> Iterator[tuple[RydbergLevel, RydbergLevel, float]]:
-    """Yield (final_a, final_b, angular_factor) for each non-zero channel out of |a b>."""
+    """Yield (final_a, final_b, angular_factor) for each non-zero channel out of |a b>.
+
+    The factor depends only on the (L, J) classes of the two finals, so each
+    class pair forms it once.
+    """
+    factors: dict[tuple, float] = {}
     for final_a in _dipole_finals(a, max_delta_n, max_l):
         for final_b in _dipole_finals(b, max_delta_n, max_l):
-            factor = angular_factor(a, b, final_a, final_b, M)
-            if factor != 0.0:
-                yield final_a, final_b, factor
+            key = (final_a.L, final_a.J, final_b.L, final_b.J)
+            if key not in factors:
+                factors[key] = angular_factor(a, b, final_a, final_b, M)
+            if factors[key] != 0.0:
+                yield final_a, final_b, factors[key]
 
 
 def _channel_key(channel: ForsterChannel) -> tuple:
@@ -169,9 +176,6 @@ def forster_channels(
     pair: PairState,
     max_delta_n: int = DEFAULT_MAX_DELTA_N,
     max_l: int = DEFAULT_MAX_L,
-    *,
-    resonance_threshold_hz: float = DEFAULT_RESONANCE_THRESHOLD_HZ,
-    grid: GridSpec | None = None,
 ) -> tuple[ForsterChannel, ...]:
     """Enumerate two-atom dipole channels out of ``pair``, strongest first.
 
@@ -180,29 +184,29 @@ def forster_channels(
     """
     if max_delta_n < 0:
         raise ValueError("max_delta_n must be non-negative")
-    e_initial = pair_energy(species, pair.a, pair.b)
     finals = list(_coupled_finals(pair.a, pair.b, pair.M, max_delta_n, max_l))
+    levels = dict.fromkeys([pair.a, pair.b] + [lv for fa, fb, _ in finals for lv in (fa, fb)])
+    energy = {lv: level_energy(species, lv) for lv in levels}
+    e_initial = energy[pair.a] + energy[pair.b]
     radial = radial_matrix_elements(
-        species, [p for fa, fb, _ in finals for p in ((pair.a, fa), (pair.b, fb))], grid
+        species, [p for fa, fb, _ in finals for p in ((pair.a, fa), (pair.b, fb))]
     )
     channels = []
     for (final_a, final_b, factor), r1, r2 in zip(finals, radial[::2], radial[1::2]):
         coupling = C3_PREFACTOR_HZ_UM3 * 1e-9 * r1 * r2 * factor
         if coupling == 0.0:
             continue
-        defect = pair_energy(species, final_a, final_b) - e_initial
+        defect = energy[final_a] + energy[final_b] - e_initial
         if defect != 0.0:
             contribution = coupling * coupling / (-defect * 1e-9)
         else:
             contribution = float("inf")
         channels.append(
             ForsterChannel(
-                initial=pair,
                 final=PairState(final_a, final_b, pair.M),
                 defect_hz=defect,
                 coupling_ghz_um3=coupling,
                 contribution_ghz_um6=contribution,
-                resonant=abs(defect) < resonance_threshold_hz,
             )
         )
     channels.sort(key=lambda ch: (-abs(ch.contribution_ghz_um6), _channel_key(ch)))
@@ -217,8 +221,6 @@ def c6_coefficient(
     *,
     max_delta_n: int = DEFAULT_MAX_DELTA_N,
     max_l: int = DEFAULT_MAX_L,
-    resonance_threshold_hz: float = DEFAULT_RESONANCE_THRESHOLD_HZ,
-    grid: GridSpec | None = None,
 ) -> InteractionCoefficients:
     """Van der Waals coefficient from the second-order channel sum.
 
@@ -228,21 +230,13 @@ def c6_coefficient(
     Hamiltonian over the manifold, not an eigen-shift: when the manifold
     splits, as (70S, 71S) does by a factor of 11, no pair state is
     shifted by this value. ``c6_branches`` returns the split shifts.
-    Raises ResonanceError when any channel defect falls below the
-    threshold, where the perturbative sum is meaningless.
+    Raises ResonanceError when any channel defect falls below
+    ``RESONANCE_THRESHOLD_HZ``, where the perturbative sum is meaningless.
     """
     pair = PairState(level_a, level_b, M)
-    channels = forster_channels(
-        species,
-        pair,
-        max_delta_n,
-        max_l,
-        resonance_threshold_hz=resonance_threshold_hz,
-        grid=grid,
-    )
-    resonant = [ch for ch in channels if ch.resonant]
-    if resonant:
-        worst = resonant[0]
+    channels = forster_channels(species, pair, max_delta_n, max_l)
+    worst = next((ch for ch in channels if abs(ch.defect_hz) < RESONANCE_THRESHOLD_HZ), None)
+    if worst is not None:
         raise ResonanceError(
             f"pair {pair.label} has a near-degenerate channel {worst.final.label} "
             f"with defect {worst.defect_hz / 1e6:.3f} MHz; second-order sum is invalid",
@@ -262,8 +256,6 @@ def c6_branches(
     *,
     max_delta_n: int = DEFAULT_MAX_DELTA_N,
     max_l: int = DEFAULT_MAX_L,
-    resonance_threshold_hz: float = DEFAULT_RESONANCE_THRESHOLD_HZ,
-    grid: GridSpec | None = None,
 ) -> tuple[float, ...]:
     """Van der Waals eigen-shifts of the initial pair manifold, GHz um^6.
 
@@ -290,21 +282,12 @@ def c6_branches(
     # final pair -> (defect in GHz, coupling rows x initial basis in GHz um^3)
     finals: dict[tuple, tuple[float, np.ndarray]] = {}
     for (a, b), start, stop in zip(orderings, starts, starts[1:]):
-        channels = c6_coefficient(
-            species,
-            a,
-            b,
-            M,
-            max_delta_n=max_delta_n,
-            max_l=max_l,
-            resonance_threshold_hz=resonance_threshold_hz,
-            grid=grid,
-        ).channels
-        for ch in channels:
-            fa, fb = ch.final.a, ch.final.b
-            block = angular_block(a, b, fa, fb, M)
-            r1 = radial_matrix_element(species, a, fa, grid)
-            r2 = radial_matrix_element(species, b, fb, grid)
+        channels = c6_coefficient(species, a, b, M, max_delta_n=max_delta_n, max_l=max_l).channels
+        radial = radial_matrix_elements(
+            species, [p for ch in channels for p in ((a, ch.final.a), (b, ch.final.b))]
+        )
+        for ch, r1, r2 in zip(channels, radial[::2], radial[1::2]):
+            block = angular_block(a, b, ch.final.a, ch.final.b, M)
             key = _channel_key(ch)
             if key not in finals:
                 finals[key] = (ch.defect_hz * 1e-9, np.zeros((block.shape[0], dim)))
@@ -338,7 +321,6 @@ def _pair_hamiltonian(
     pair: PairState,
     manifolds: list[tuple[RydbergLevel, RydbergLevel]],
     d_um: float,
-    grid: GridSpec | None,
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Pair Hamiltonian in Hz relative to the initial pair energy.
 
@@ -392,7 +374,7 @@ def _pair_hamiltonian(
         first = np.sort(np.unique(p * len(levels) + q, return_index=True)[1])
         p, q = p[first], q[first]
         radial[p, q] = radial[q, p] = radial_matrix_elements(
-            species, [(levels[a], levels[b]) for a, b in zip(p.tolist(), q.tolist())], grid
+            species, [(levels[a], levels[b]) for a, b in zip(p.tolist(), q.tolist())]
         )
 
     starts = np.array([off for off, _ in offsets])
@@ -416,7 +398,6 @@ def pair_hamiltonian_shift(
     branch: str = "auto",
     max_delta_n: int = DEFAULT_MAX_DELTA_N,
     max_l: int = DEFAULT_MAX_L,
-    grid: GridSpec | None = None,
 ) -> float:
     """Interaction shift in Hz at separation d from direct diagonalisation.
 
@@ -450,7 +431,7 @@ def pair_hamiltonian_shift(
     manifolds = _first_shell_manifolds(pair, max_delta_n, max_l)
     n_initial = len(_orderings(pair.a, pair.b))
 
-    hamiltonian, offsets = _pair_hamiltonian(species, pair, manifolds, d_um, grid)
+    hamiltonian, offsets = _pair_hamiltonian(species, pair, manifolds, d_um)
     dim = len(hamiltonian)
     eigvals, eigvecs = np.linalg.eigh(hamiltonian)
 

@@ -15,6 +15,8 @@ __all__ = ["Series", "render_plot", "PALETTE"]
 
 PALETTE = ("#c0392b", "#2471a3", "#1e8449", "#7d3c98", "#b7950b", "#566573")
 
+_WIDTH = 660
+_HEIGHT = 450
 _MARGIN_L = 74
 _MARGIN_R = 18
 _MARGIN_T = 42
@@ -26,7 +28,6 @@ class Series:
     x: tuple
     y: tuple
     label: str
-    color: str | None = None
     dashed: bool = False
 
 
@@ -93,8 +94,6 @@ def render_plot(
     ylabel: str,
     xlog: bool = False,
     ylog: bool = False,
-    width: int = 660,
-    height: int = 450,
 ) -> None:
     """Write a line plot of the given series to ``path`` as SVG."""
     plotted = [(s, _finite_pairs(s, xlog, ylog)) for s in series_list]
@@ -120,8 +119,8 @@ def render_plot(
     x_lo, x_hi = span(xs, xlog)
     y_lo, y_hi = span(ys, ylog)
 
-    pw = width - _MARGIN_L - _MARGIN_R
-    ph = height - _MARGIN_T - _MARGIN_B
+    pw = _WIDTH - _MARGIN_L - _MARGIN_R
+    ph = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def tx(x):
         u = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo)) if xlog else (x - x_lo) / (x_hi - x_lo)
@@ -133,12 +132,12 @@ def render_plot(
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     out.append(
-        f'<text x="{width / 2:.2f}" y="24" font-family="sans-serif" font-size="15" '
+        f'<text x="{_WIDTH / 2:.2f}" y="24" font-family="sans-serif" font-size="15" '
         f'text-anchor="middle">{_esc(title)}</text>'
     )
 
@@ -186,7 +185,7 @@ def render_plot(
         )
 
     out.append(
-        f'<text x="{_MARGIN_L + pw / 2:.2f}" y="{height - 14}" font-family="sans-serif" '
+        f'<text x="{_MARGIN_L + pw / 2:.2f}" y="{_HEIGHT - 14}" font-family="sans-serif" '
         f'font-size="13" text-anchor="middle">{_esc(xlabel)}</text>'
     )
     out.append(
@@ -196,7 +195,7 @@ def render_plot(
     )
 
     for i, (s, pts) in enumerate(plotted):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         # break the polyline at gaps
         run: list[str] = []
@@ -225,7 +224,7 @@ def render_plot(
     # legend, top-right inside the frame
     ly = _MARGIN_T + 16
     for i, (s, _) in enumerate(plotted):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         x1 = _MARGIN_L + pw - 150
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         out.append(

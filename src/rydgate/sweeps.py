@@ -170,7 +170,7 @@ def run_indexed(row_func, payloads, workers: int = 1) -> list:
     if workers <= 1 or len(payloads) <= 1:
         return [row_func(p) for p in payloads]
     out: list = [None] * len(payloads)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         futures = {pool.submit(row_func, p): i for i, p in enumerate(payloads)}
         for fut, idx in futures.items():
             out[idx] = fut.result()
@@ -318,8 +318,8 @@ def _forster_row(args):
             rows.append(
                 [
                     n,
-                    ch.initial.a.label,
-                    ch.initial.b.label,
+                    pair.a.label,
+                    pair.b.label,
                     ch.final.a.label,
                     ch.final.b.label,
                     ch.defect_hz,

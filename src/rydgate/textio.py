@@ -125,13 +125,3 @@ def write_csv(path, header: list[str], table: list[list]) -> None:
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV written by write_csv: returns (header, rows of strings)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
-    if not lines:
-        raise SpeciesDataError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]

@@ -127,6 +127,11 @@ def test_pair_m_states_enumeration():
     assert pair_m_states(0.5, 0.5, 0.0) == [(0.5, -0.5), (-0.5, 0.5)]
     assert pair_m_states(1.5, 0.5, 1.0) == [(1.5, -0.5), (0.5, 0.5)]
     assert pair_m_states(0.5, 0.5, 3.0) == []
+    # M of the wrong parity for Ja + Jb reaches no pair state
+    assert pair_m_states(0.5, 0.5, 0.5) == []
+    assert pair_m_states(1.5, 0.5, 0.5) == []
+    assert pair_m_states(0.5, 1.0, 1.0) == []
+    assert pair_m_states(0.5, 1.0, 0.5) == [(0.5, 0.0), (-0.5, 1.0)]
     states = pair_m_states(1.5, 1.5, 0.0)
     assert len(states) == 4
     assert all(ma + mb == 0.0 for ma, mb in states)

@@ -4,6 +4,7 @@ Covers artifact layout, exit-code contract, config-file precedence, and
 the byte-level reproducibility of CSV output across worker counts.
 """
 
+import csv
 import json
 
 import pytest
@@ -15,7 +16,13 @@ from rydgate.sweeps import (
     MERIT_COLUMNS,
     RADII_COLUMNS,
 )
-from rydgate.textio import read_csv
+
+
+def read_csv(path):
+    """(header, rows) of a CSV artifact, read with the stdlib parser."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 def _run(*argv):
@@ -220,6 +227,9 @@ def test_forster_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
         ("fidelity", "--axis", "n", "--values", "50,inf"),
         ("merit", "--radiation-temp-k", "-5"),
         ("forster", "--threshold-mhz", "-2"),
+        ("forster", "--n", "70", "--max-delta-n", "-1"),
+        ("forster", "--n", "70", "--max-l", "-1"),
+        ("radii", "--n", "70", "--workers", "0"),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rydgate import pair as pair_module
 from rydgate.constants import C3_PREFACTOR_HZ_UM3, TWOPI, mhz_to_rad_s
 from rydgate.angular import angular_block, angular_factor, pair_m_states
 from rydgate.errors import ResonanceError, RydgateError
@@ -42,9 +43,13 @@ def test_unit_conversion_round_trips():
 # ---------------------------------------------------------------------------
 # pair states
 
-def test_pair_state_validates_projection():
+def test_pair_state_validates_projection(species):
     with pytest.raises(ValueError):
         PairState(s_level(70), s_level(71), M=2.0)
+    with pytest.raises(ValueError):  # two J = 1/2 atoms make integer M only
+        PairState(s_level(70), s_level(71), M=0.5)
+    with pytest.raises(ValueError):
+        c6_coefficient(species, s_level(70), s_level(71), M=0.5)
     pair = PairState(s_level(70), p_level(70, 1.5), M=2.0)
     assert pair.label == "(70S1/2, 70P3/2)"
 
@@ -84,7 +89,7 @@ def test_forster_channels_of_rb_70s_71s(species):
     pair = PairState(s_level(70), s_level(71))
     channels = forster_channels(species, pair)
     assert len(channels) > 10
-    assert all(ch.initial == pair for ch in channels)
+    assert all(ch.final.M == pair.M for ch in channels)
     # ranked by contribution magnitude
     mags = [abs(ch.contribution_ghz_um6) for ch in channels]
     assert mags == sorted(mags, reverse=True)
@@ -106,6 +111,36 @@ def test_forster_channels_of_rb_70s_71s(species):
     assert top.coupling_ghz_um3 == pytest.approx(expected_coupling, rel=1e-12)
 
 
+def test_forster_channels_form_each_channel_once(species, monkeypatch):
+    """One angular factor per (L, J) class pair, one energy per level and
+    one radial request per call; c6_branches adds one request per ordering."""
+    calls = {name: [] for name in ("angular_factor", "level_energy", "radial_matrix_elements")}
+
+    def recorded(fn, seen):
+        def wrapper(*args):
+            seen.append(args)
+            return fn(*args)
+
+        return wrapper
+
+    for name, seen in calls.items():
+        monkeypatch.setattr(pair_module, name, recorded(getattr(pair_module, name), seen))
+    monkeypatch.setattr(pair_module, "radial_matrix_element", None)  # no scalar requests
+    pair = PairState(s_level(70), s_level(71))
+    channels = forster_channels(species, pair)
+    classes = {(ch.final.a.L, ch.final.a.J, ch.final.b.L, ch.final.b.J) for ch in channels}
+    assert len(classes) == len(calls["angular_factor"]) == 4
+    levels = [level for _, level in calls["level_energy"]]
+    finals = {lv for ch in channels for lv in (ch.final.a, ch.final.b)}
+    assert sorted(levels) == sorted(finals | {pair.a, pair.b})
+    assert len(calls["radial_matrix_elements"]) == 1
+
+    calls["radial_matrix_elements"].clear()
+    c6_branches(species, s_level(70), s_level(71))
+    # one request in forster_channels and one in c6_branches, per ordering
+    assert len(calls["radial_matrix_elements"]) == 4
+
+
 def test_forster_channels_deterministic(species):
     pair = PairState(s_level(70), s_level(71))
     assert forster_channels(species, pair) == forster_channels(species, pair)
@@ -124,8 +159,7 @@ def test_forster_channels_delta_n_zero(species):
 def test_near_degenerate_channel_is_flagged(species):
     """(38S, 39S) sits on the P3/2 + P3/2 degeneracy."""
     pair = PairState(s_level(38), s_level(39))
-    channels = forster_channels(species, pair, resonance_threshold_hz=1e9)
-    flagged = [ch for ch in channels if ch.resonant]
+    flagged = [ch for ch in forster_channels(species, pair) if abs(ch.defect_hz) < 1e9]
     assert flagged
     finals = {(ch.final.a.label, ch.final.b.label) for ch in flagged}
     assert ("38P3/2", "38P3/2") in finals
@@ -164,18 +198,18 @@ def test_c6_truncation_convergence(species):
     assert narrow.c6_ghz_um6 == pytest.approx(wide.c6_ghz_um6, rel=0.1)
 
 
-def test_c6_raises_on_resonance(species):
+def test_c6_raises_on_resonance(species, monkeypatch):
+    monkeypatch.setattr(pair_module, "RESONANCE_THRESHOLD_HZ", 1e9)
     with pytest.raises(ResonanceError) as exc_info:
-        c6_coefficient(species, s_level(38), s_level(39), resonance_threshold_hz=1e9)
+        c6_coefficient(species, s_level(38), s_level(39))
     channel = exc_info.value.channel
     assert channel.final.a.label == "38P3/2"
     assert channel.final.b.label == "38P3/2"
     with pytest.raises(ResonanceError):
-        c6_branches(species, s_level(38), s_level(39), resonance_threshold_hz=1e9)
+        c6_branches(species, s_level(38), s_level(39))
     # with a loose enough notion of "degenerate" the sum goes through
-    coeffs = c6_coefficient(
-        species, s_level(38), s_level(39), resonance_threshold_hz=1e3
-    )
+    monkeypatch.setattr(pair_module, "RESONANCE_THRESHOLD_HZ", 1e3)
+    coeffs = c6_coefficient(species, s_level(38), s_level(39))
     assert math.isfinite(coeffs.c6_ghz_um6)
 
 
@@ -259,7 +293,7 @@ def _pair_hamiltonian_loop(species, pair, manifolds, d_um):
 def test_pair_hamiltonian_matches_per_pair_loop(species, a, b, M, max_delta_n):
     pair = PairState(a, b, M)
     manifolds = _first_shell_manifolds(pair, max_delta_n, DEFAULT_MAX_L)
-    hamiltonian, _ = _pair_hamiltonian(species, pair, manifolds, 20.0, None)
+    hamiltonian, _ = _pair_hamiltonian(species, pair, manifolds, 20.0)
     assert np.array_equal(hamiltonian, _pair_hamiltonian_loop(species, pair, manifolds, 20.0))
 
 

@@ -4,10 +4,12 @@ and the row builders behind each CLI table."""
 import hashlib
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from rydgate import sweeps
 from rydgate.constants import TWOPI
 from rydgate.gate import GateParams
 from rydgate.sweeps import (
@@ -102,6 +104,32 @@ def test_run_indexed_preserves_order():
     parallel = run_indexed(math.sqrt, payloads, workers=3)
     assert serial == [7.0, 6.0, 5.0, 4.0, 3.0]
     assert parallel == serial
+
+
+def test_run_indexed_pool_no_larger_than_payloads(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs each task here."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, arg):
+            future = Future()
+            future.set_result(fn(arg))
+            return future
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", InProcessPool)
+    assert run_indexed(math.sqrt, [9.0, 4.0, 1.0], workers=64) == [3.0, 2.0, 1.0]
+    assert run_indexed(math.sqrt, [16.0, 9.0, 4.0, 1.0], workers=2) == [4.0, 3.0, 2.0, 1.0]
+    assert sizes == [3, 2]
 
 
 # ---------------------------------------------------------------------------

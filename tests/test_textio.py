@@ -1,5 +1,7 @@
 """Key-value document grammar and deterministic CSV round trips."""
 
+import csv
+
 import pytest
 
 from rydgate.errors import SpeciesDataError
@@ -9,7 +11,6 @@ from rydgate.textio import (
     parse_document_file,
     parse_float,
     parse_int,
-    read_csv,
     write_csv,
 )
 
@@ -92,15 +93,9 @@ def test_csv_round_trip(tmp_path):
     text = path.read_bytes().decode("utf-8")
     assert "\r" not in text
     assert text.endswith("\n")
-    header_back, rows = read_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header_back, *rows = csv.reader(fh)
     assert header_back == header
     assert rows[0] == ["70", "1.23456789012e-07", "1", "alpha"]
     assert rows[1][1] == "nan"
     assert rows[1][2] == "0"
-
-
-def test_read_csv_rejects_empty_file(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(SpeciesDataError, match="empty"):
-        read_csv(path)
