@@ -26,7 +26,6 @@ from .errors import (
 from .levels import RydbergLevel, parse_level, p_level, s_level
 from .species import AtomSpecies, load_species, rb87
 from .qdt import (
-    GridSpec,
     RadialSolution,
     effective_quantum_number,
     level_energy,

@@ -35,8 +35,6 @@ __all__ = [
     "exchange_singular_value",
 ]
 
-_SPIN = Fraction(1, 2)
-
 
 def _two_j(j: float) -> int:
     two = round(2 * j)

@@ -35,6 +35,7 @@ from .pair import DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L
 from .species import AtomSpecies, load_species
 from .svgplot import Series, render_plot
 from .sweeps import (
+    AXES,
     SWEEP_AXES,
     SweepSpec,
     fidelity_sweep,
@@ -102,23 +103,6 @@ def _parse_axis_values(text: str, axis: str) -> tuple[float, ...]:
     )
 
 
-_AXIS_TO_INTERNAL = {
-    "omega_mu": mhz_to_rad_s,
-    "omega_c": mhz_to_rad_s,
-    "temperature": lambda v: v * 1e-6,
-    "n": float,
-    "q": float,
-}
-
-_AXIS_LABEL = {
-    "omega_mu": "nu_mu (MHz)",
-    "omega_c": "nu_c (MHz)",
-    "n": "principal quantum number n",
-    "q": "q = w0 / r_b6",
-    "temperature": "temperature (uK)",
-}
-
-
 def _load_species_arg(path) -> tuple[AtomSpecies, str, str]:
     """(species, sha256 digest, human-readable source)."""
     if path is None:
@@ -184,6 +168,7 @@ def _fidelity(s, species, csv_path):
     axis = s["axis"]
     if axis not in SWEEP_AXES:
         raise UsageError(f"unknown axis {axis!r}; choose from {', '.join(SWEEP_AXES)}")
+    to_internal, _, axis_label = AXES[axis]
     d11_text = s["d11"]
     if d11_text == "opt":
         d11_mode, d11_um = "opt", 20.0
@@ -192,14 +177,12 @@ def _fidelity(s, species, csv_path):
             d11_um = float(d11_text.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"bad --d11 value {d11_text!r}") from None
-        if d11_um <= 0:
-            raise UsageError(f"--d11 separation must be positive, got {d11_um}")
+        if not math.isfinite(d11_um) or d11_um <= 0:
+            raise UsageError(f"--d11 separation must be finite and positive, got {d11_um}")
         d11_mode = "fixed"
     else:
         raise UsageError(f"bad --d11 mode {d11_text!r}: expected 'opt' or 'fixed:<um>'")
-    values = tuple(
-        _AXIS_TO_INTERNAL[axis](v) for v in _parse_axis_values(s["values"], axis)
-    )
+    values = tuple(to_internal(v) for v in _parse_axis_values(s["values"], axis))
     nu_eit = s["omega_eit_mhz"]
     try:
         fixed = GateParams.for_level_system(
@@ -231,7 +214,7 @@ def _fidelity(s, species, csv_path):
     plot = dict(
         columns=[(4, "f_total", False), (2, "f0_avg", True), (3, "eta_m", True)],
         title=f"Averaged gate fidelity vs {axis}",
-        xlabel=_AXIS_LABEL[axis],
+        xlabel=axis_label,
         ylabel="fidelity",
         xlog=axis in ("omega_mu", "omega_c"),
     )
@@ -389,6 +372,8 @@ def _resolve_settings(args, settings) -> dict:
                     except ValueError:
                         raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
                     break
+        if cast is float and value is not None and not math.isfinite(value):
+            raise UsageError(f"--{key.replace('_', '-')} must be finite, got {value}")
         resolved[key] = default if value is None else value
     return resolved
 

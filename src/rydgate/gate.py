@@ -22,6 +22,7 @@ The closed-form 2x2 evolution is vectorised over distance arrays.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -44,6 +45,8 @@ COMPONENT_LABELS = ("00", "01", "10", "11")
 DEFAULT_LAMBDA_SW_UM = 1.25
 DEFAULT_ETA_C = 0.9
 DEFAULT_D_FAR_FACTOR = 5.0
+# The fields for_level_system computes; the others are GateParams.settings.
+_LEVEL_FIELDS = ("n", "c3_ghz_um3", "c6_ghz_um6", "mass_kg", "gamma_r", "gamma_rp", "gamma_p")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,6 +77,9 @@ class GateParams:
     eta_c: float = DEFAULT_ETA_C
 
     def __post_init__(self) -> None:
+        for name, value in dataclasses.asdict(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.omega_mu <= 0 or self.omega_c <= 0:
             raise ValueError("Rabi frequencies must be positive")
         if self.omega_eit is not None and self.omega_eit <= 0:
@@ -108,6 +114,11 @@ class GateParams:
         )
 
     @property
+    def settings(self) -> dict:
+        """The fields ``for_level_system`` takes as given, by name."""
+        return {k: v for k, v in dataclasses.asdict(self).items() if k not in _LEVEL_FIELDS}
+
+    @property
     def pulse_time(self) -> float:
         """Duration of the 2-pi microwave rotation, 2 pi / Omega_mu."""
         return TWOPI / self.omega_mu
@@ -118,13 +129,8 @@ class GateParams:
         species: AtomSpecies,
         n: int,
         *,
-        omega_mu: float,
-        omega_c: float,
-        d11: float,
-        temperature: float,
-        q: float,
         bbr_temperature: float = 0.0,
-        **extra,
+        **settings,
     ) -> "GateParams":
         """Assemble a working point for the nS/(n+1)S/nP_1/2 level system.
 
@@ -132,23 +138,20 @@ class GateParams:
         Decay defaults to purely radiative; pass ``bbr_temperature`` (K)
         to add blackbody-stimulated decay.  That radiation temperature is
         distinct from the motional ``temperature`` driving dephasing.
-        Keyword extras pass through to the constructor.
+        ``settings`` are the other fields: omega_mu, omega_c, d11,
+        temperature and q, and optionally omega_eit, d_far, lambda_sw and
+        eta_c; a working point's ``settings`` rebuild it at another n.
         """
         control, target, aux = _level_system(n)
         return cls(
             n=n,
-            omega_mu=omega_mu,
-            omega_c=omega_c,
-            d11=d11,
-            temperature=temperature,
-            q=q,
             c3_ghz_um3=c3_coefficient(species, control, aux),
             c6_ghz_um6=c6_coefficient(species, control, target).c6_ghz_um6,
             mass_kg=species.mass,
             gamma_r=lifetime(species, target, bbr_temperature),
             gamma_rp=lifetime(species, control, bbr_temperature),
             gamma_p=lifetime(species, aux, bbr_temperature),
-            **extra,
+            **settings,
         )
 
 

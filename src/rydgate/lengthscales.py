@@ -44,8 +44,6 @@ class Lengthscales:
     r_b3: float
     r_b6: float
     r_mu: float
-    omega_eit: float
-    omega_mu: float
     window: tuple[float, float]
     window_ok: bool
 
@@ -98,8 +96,6 @@ def blockade_radii(
         r_b3=r_b3,
         r_b6=r_b6,
         r_mu=r_mu,
-        omega_eit=omega_eit,
-        omega_mu=omega_mu,
         window=(low, r_b3),
         window_ok=r_b3 > low,
     )

@@ -113,9 +113,10 @@ def c3_coefficient(
 
     The degenerate manifold {|ab>, |ba>} splits into branches at
     +/- C3 / d^3 with C3 = K3 R_ab^2 sigma_max, sigma_max the extremal
-    singular value of the exchange block at the given M. Raises if the
-    two levels are not dipole-coupled.
+    singular value of the exchange block at the given M. Raises ValueError
+    for an M no pair state reaches, RydgateError if not dipole-coupled.
     """
+    PairState(level_a, level_b, M)
     sigma = exchange_singular_value(level_a, level_b, M)
     if sigma == 0.0:
         raise RydgateError(

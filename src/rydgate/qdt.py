@@ -17,6 +17,8 @@ of the core radius a0 n*^(1/3) and the classical inner turning point. Levels
 with zero quantum defect have no core region to excise, so their cutoff
 drops to max(1e-3 a0, 0.05 x inner turning point); a divergence guard raises
 if an inward solution grows back in the classically forbidden region.
+Every grid has ``GRID_POINTS`` samples, read at call time; the caches key on
+it, so a changed value never reads a value solved at another.
 
 Solves run in vectorised passes, one row per (level, grid), and each row is
 bitwise the scalar recurrence. ``radial_matrix_elements`` solves all the
@@ -41,7 +43,7 @@ from .levels import RydbergLevel
 from .species import AtomSpecies
 
 __all__ = [
-    "GridSpec",
+    "GRID_POINTS",
     "RadialSolution",
     "effective_quantum_number",
     "level_energy",
@@ -72,15 +74,8 @@ def level_energy(species: AtomSpecies, level: RydbergLevel) -> float:
     return -species.rydberg_constant / n_star**2
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Radial grid controls. points is the number of sqrt-scale samples."""
-
-    points: int = 2000
-
-    def __post_init__(self):
-        if self.points < 100:
-            raise ValueError("grid needs at least 100 points")
+# Samples per sqrt-scaled radial grid.
+GRID_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -111,6 +106,14 @@ def _inner_cutoff(n_star: float, L: int, has_core: bool) -> float:
     if has_core:
         return max(n_star ** (1.0 / 3.0), r_turn)
     return max(1e-3, 0.05 * r_turn)
+
+
+def _grid_bounds(species: AtomSpecies, level: RydbergLevel) -> tuple[float, float, float]:
+    """(n*, r_in, r_out) of the level's own radial grid, in Bohr radii."""
+    n_star = effective_quantum_number(species, level)
+    delta0, _ = species.defect_coefficients(level.L, level.J)
+    r_in = _inner_cutoff(n_star, level.L, has_core=delta0 != 0.0)
+    return n_star, r_in, 2.0 * n_star * (n_star + 15.0)
 
 
 # Solves per Numerov pass: wide enough to spread the per-step numpy calls
@@ -237,15 +240,12 @@ def _normalised_solutions(
 
 @functools.lru_cache(maxsize=4096)
 def _radial_solution_cached(
-    species: AtomSpecies, level: RydbergLevel, grid: GridSpec
+    species: AtomSpecies, level: RydbergLevel, points: int
 ) -> RadialSolution:
-    n_star = effective_quantum_number(species, level)
-    delta0, _ = species.defect_coefficients(level.L, level.J)
-    r_in = _inner_cutoff(n_star, level.L, has_core=delta0 != 0.0)
-    r_out = 2.0 * n_star * (n_star + 15.0)
+    n_star, r_in, r_out = _grid_bounds(species, level)
     if r_in >= r_out:
         raise NumericsError(f"{level}: inner cutoff {r_in} exceeds outer {r_out}")
-    x = np.linspace(math.sqrt(r_in), math.sqrt(r_out), grid.points)
+    x = np.linspace(math.sqrt(r_in), math.sqrt(r_out), points)
     u = _normalised_solutions([level], [n_star], [x])[0]
     if u[int(np.argmax(np.abs(u)))] < 0.0:
         u = -u
@@ -266,23 +266,22 @@ def _radial_solution_cached(
     )
 
 
-def radial_wavefunction(
-    species: AtomSpecies, level: RydbergLevel, grid: GridSpec | None = None
-) -> RadialSolution:
-    """Normalised u(r) for one level on the default sqrt-scaled grid."""
-    return _radial_solution_cached(species, level, grid or GridSpec())
+def radial_wavefunction(species: AtomSpecies, level: RydbergLevel) -> RadialSolution:
+    """Normalised u(r) for one level on its sqrt-scaled grid."""
+    return _radial_solution_cached(species, level, GRID_POINTS)
 
 
 _CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def _element_cache(maxsize: int) -> types.SimpleNamespace:
-    """LRU tables of matrix elements, one per (species, grid), filled a request at a time.
+    """LRU tables of matrix elements, one per (species, grid points), filled a
+    request at a time.
 
     Keys are level pairs as (n, L, J, n, L, J) tuples, which hash far faster
-    than the level and species records. ``take(species, grid, keys)``
+    than the level and species records. ``take(species, points, keys)``
     returns the cached values and the missing keys in first-seen order;
-    ``put(species, grid, values)`` stores a solved request. Hits and misses
+    ``put(species, points, values)`` stores a solved request. Hits and misses
     count as lru_cache would for the same keys looked up one by one, so a
     repeat of a missing key is a hit. Built from closures, not as a class:
     perfbench finds caches as module values with a callable
@@ -291,8 +290,8 @@ def _element_cache(maxsize: int) -> types.SimpleNamespace:
     tables: dict[tuple, collections.OrderedDict] = {}
     counts = collections.Counter()
 
-    def take(species, grid, keys):
-        table = tables.setdefault((species, grid), collections.OrderedDict())
+    def take(species, points, keys):
+        table = tables.setdefault((species, points), collections.OrderedDict())
         found, missing = {}, {}
         for key in keys:
             if key in table:
@@ -305,8 +304,8 @@ def _element_cache(maxsize: int) -> types.SimpleNamespace:
             counts["hits"] += 1
         return found, list(missing)
 
-    def put(species, grid, values):
-        table = tables[species, grid]
+    def put(species, points, values):
+        table = tables[species, points]
         table.update(values)
         while len(table) > maxsize:
             table.popitem(last=False)
@@ -328,9 +327,7 @@ _matrix_element_cached = _element_cache(maxsize=65536)
 
 
 def _solve_elements(
-    species: AtomSpecies,
-    pairs: list[tuple[RydbergLevel, RydbergLevel]],
-    grid: GridSpec,
+    species: AtomSpecies, pairs: list[tuple[RydbergLevel, RydbergLevel]], points: int
 ) -> list[float]:
     """<a| r |b> for distinct level pairs, each solved on the pair's shared grid.
 
@@ -340,19 +337,13 @@ def _solve_elements(
     rows: dict[tuple[RydbergLevel, int], int] = {}  # (level, grid) -> solve row
     xs, levels, n_stars, row_grids, plan = [], [], [], [], []
     for level_a, level_b in pairs:
-        na = effective_quantum_number(species, level_a)
-        nb = effective_quantum_number(species, level_b)
-        d0a, _ = species.defect_coefficients(level_a.L, level_a.J)
-        d0b, _ = species.defect_coefficients(level_b.L, level_b.J)
+        na, in_a, out_a = _grid_bounds(species, level_a)
+        nb, in_b, out_b = _grid_bounds(species, level_b)
         # Shared grid: the wider outer range and the safer (larger) inner cutoff.
-        r_in = max(
-            _inner_cutoff(na, level_a.L, has_core=d0a != 0.0),
-            _inner_cutoff(nb, level_b.L, has_core=d0b != 0.0),
-        )
-        r_out = max(2.0 * na * (na + 15.0), 2.0 * nb * (nb + 15.0))
+        r_in, r_out = max(in_a, in_b), max(out_a, out_b)
         gi = grids.setdefault((r_in, r_out), len(grids))
         if gi == len(xs):
-            xs.append(np.linspace(math.sqrt(r_in), math.sqrt(r_out), grid.points))
+            xs.append(np.linspace(math.sqrt(r_in), math.sqrt(r_out), points))
         for level, n_star in ((level_a, na), (level_b, nb)):
             if rows.setdefault((level, gi), len(rows)) == len(levels):
                 levels.append(level)
@@ -373,16 +364,13 @@ def _solve_elements(
 
 
 def radial_matrix_elements(
-    species: AtomSpecies,
-    pairs: list[tuple[RydbergLevel, RydbergLevel]],
-    grid: GridSpec | None = None,
+    species: AtomSpecies, pairs: list[tuple[RydbergLevel, RydbergLevel]]
 ) -> list[float]:
     """<a| r |b> in Bohr radii for each (a, b) in pairs, in one request.
 
-    Each element is ``radial_matrix_element(species, a, b, grid)``; the
-    uncached ones are solved together, each level once per distinct grid.
+    Each element is ``radial_matrix_element(species, a, b)``; the uncached
+    ones are solved together, each level once per distinct grid.
     """
-    grid = grid or GridSpec()
     keys = []
     for level_a, level_b in pairs:
         if abs(level_a.L - level_b.L) != 1:
@@ -393,20 +381,17 @@ def radial_matrix_elements(
         # The lower level first, as RydbergLevel orders them.
         a, b = (level_a.n, level_a.L, level_a.J), (level_b.n, level_b.L, level_b.J)
         keys.append(b + a if b < a else a + b)
-    found, missing = _matrix_element_cached.take(species, grid, keys)
+    found, missing = _matrix_element_cached.take(species, GRID_POINTS, keys)
     if missing:
         levels = [(RydbergLevel(*key[:3]), RydbergLevel(*key[3:])) for key in missing]
-        solved = dict(zip(missing, _solve_elements(species, levels, grid)))
-        _matrix_element_cached.put(species, grid, solved)
+        solved = dict(zip(missing, _solve_elements(species, levels, GRID_POINTS)))
+        _matrix_element_cached.put(species, GRID_POINTS, solved)
         found.update(solved)
     return [found[key] for key in keys]
 
 
 def radial_matrix_element(
-    species: AtomSpecies,
-    level_a: RydbergLevel,
-    level_b: RydbergLevel,
-    grid: GridSpec | None = None,
+    species: AtomSpecies, level_a: RydbergLevel, level_b: RydbergLevel
 ) -> float:
     """<a| r |b> in Bohr radii, both levels solved on one shared grid.
 
@@ -414,7 +399,7 @@ def radial_matrix_element(
     its level arguments; the magnitude is what enters interaction
     coefficients.
     """
-    return radial_matrix_elements(species, [(level_a, level_b)], grid)[0]
+    return radial_matrix_elements(species, [(level_a, level_b)])[0]
 
 
 def lifetime(species: AtomSpecies, level: RydbergLevel, temperature: float) -> float:

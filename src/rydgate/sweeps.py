@@ -9,7 +9,8 @@ windows) are recorded in the row and in the run manifest, as
 Unit conventions at this layer: GateParams fields are SI/internal
 (rad/s, K, um); the ``axis_value`` CSV column is written in display
 units (MHz for Rabi-frequency axes, uK for the temperature axis) so
-artifacts read like lab numbers.
+artifacts read like lab numbers.  ``AXES`` holds each axis's two unit
+conversions and its plot label.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .averaging import averaged_fidelity, optimize_d11
-from .constants import TWOPI
+from .constants import TWOPI, mhz_to_rad_s
 from .errors import ResonanceError, RydgateError
 from .gate import GateParams
 from .lengthscales import _level_system, figure_of_merit, radii_point
@@ -32,6 +33,7 @@ from .pair import DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, PairState, forster_channel
 from .species import AtomSpecies
 
 __all__ = [
+    "AXES",
     "SWEEP_AXES",
     "FIDELITY_COLUMNS",
     "SweepSpec",
@@ -43,7 +45,17 @@ __all__ = [
     "forster_rows",
 ]
 
-SWEEP_AXES = ("omega_mu", "omega_c", "n", "q", "temperature")
+_RAD_S_TO_MHZ = 1.0 / (TWOPI * 1e6)
+
+# axis -> (display units to internal, internal to display units, plot label)
+AXES = {
+    "omega_mu": (mhz_to_rad_s, lambda v: v * _RAD_S_TO_MHZ, "nu_mu (MHz)"),
+    "omega_c": (mhz_to_rad_s, lambda v: v * _RAD_S_TO_MHZ, "nu_c (MHz)"),
+    "n": (float, float, "principal quantum number n"),
+    "q": (float, float, "q = w0 / r_b6"),
+    "temperature": (lambda v: v * 1e-6, lambda v: v * 1e6, "temperature (uK)"),
+}
+SWEEP_AXES = tuple(AXES)
 
 FIDELITY_COLUMNS = (
     "axis_value",
@@ -186,35 +198,16 @@ def _params_for_axis_value(
 ) -> GateParams:
     if spec.axis == "n":
         return GateParams.for_level_system(
-            species,
-            int(value),
-            omega_mu=spec.fixed.omega_mu,
-            omega_c=spec.fixed.omega_c,
-            d11=spec.fixed.d11,
-            temperature=spec.fixed.temperature,
-            q=spec.fixed.q,
-            bbr_temperature=spec.bbr_temperature,
-            omega_eit=spec.fixed.omega_eit,
-            d_far=spec.fixed.d_far,
-            lambda_sw=spec.fixed.lambda_sw,
-            eta_c=spec.fixed.eta_c,
+            species, int(value), bbr_temperature=spec.bbr_temperature, **spec.fixed.settings
         )
     return dataclasses.replace(spec.fixed, **{spec.axis: float(value)})
-
-
-_AXIS_DISPLAY_SCALE = {
-    "omega_mu": 1.0 / (TWOPI * 1e6),  # rad/s -> MHz
-    "omega_c": 1.0 / (TWOPI * 1e6),
-    "temperature": 1e6,  # K -> uK
-    "n": 1.0,
-    "q": 1.0,
-}
 
 
 def _fidelity_row(args):
     """One sweep row: (status, cells dict). Top level so pools can pickle it."""
     species, spec, value = args
-    display = float(value) * _AXIS_DISPLAY_SCALE[spec.axis]
+    _, to_display, _ = AXES[spec.axis]
+    display = to_display(float(value))
     nan = float("nan")
     cells = {
         "axis_value": display,

@@ -230,9 +230,22 @@ def test_forster_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
         ("forster", "--n", "70", "--max-delta-n", "-1"),
         ("forster", "--n", "70", "--max-l", "-1"),
         ("radii", "--n", "70", "--workers", "0"),
+        ("radii", "--n", "70", "--omega-mhz", "nan"),
+        ("radii", "--n", "70", "--omega-mhz", "inf"),
+        ("merit", "--n", "70", "--radiation-temp-k", "nan"),
+        ("forster", "--n", "38", "--threshold-mhz", "nan"),
+        ("fidelity", "--values", "1", "--temperature-uk", "nan"),
+        ("fidelity", "--values", "1", "--d-far-um", "nan"),
+        ("fidelity", "--values", "1", "--bbr-temp-k", "nan"),
+        ("fidelity", "--values", "1", "--q", "nan"),
+        ("fidelity", "--values", "1", "--d11", "fixed:nan"),
+        ("merit", "--n", "70", "--config", "nan.cfg"),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv):
+    # nan.cfg names a config file in tmp_path with a non-finite value
+    (tmp_path / "nan.cfg").write_text("[merit]\nradiation_temp_k = nan\n")
+    argv = [str(tmp_path / a) if a == "nan.cfg" else a for a in argv]
     assert _run(*argv, "--out", str(tmp_path)) == 2
     assert "rydgate" in capsys.readouterr().err
 

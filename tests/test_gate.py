@@ -217,6 +217,11 @@ def test_params_validation():
         _params(temperature=-1e-6)
     with pytest.raises(ValueError):
         _params(omega_eit=-1.0)
+    for field in ("omega_mu", "d11", "temperature", "q", "c6_ghz_um6", "gamma_r", "d_far"):
+        with pytest.raises(ValueError, match="finite"):
+            _params(**{field: math.nan})
+    with pytest.raises(ValueError, match="finite"):
+        _params(omega_c=math.inf)
 
 
 def test_for_level_system_wiring(species):
@@ -240,6 +245,23 @@ def test_for_level_system_wiring(species):
     assert warm.gamma_r > params.gamma_r
     assert warm.gamma_rp > params.gamma_rp
     assert warm.gamma_p > params.gamma_p
+
+
+def test_settings_rebuild_the_working_point(species):
+    """``settings`` holds every field that for_level_system does not compute."""
+    params = GateParams.for_level_system(
+        species, 70,
+        omega_mu=OMEGA, omega_c=10.0 * OMEGA, d11=10.0, temperature=1e-7, q=0.2,
+        omega_eit=3.0 * OMEGA, d_far=40.0, lambda_sw=0.8, eta_c=0.7,
+    )
+    assert GateParams.for_level_system(species, 70, **params.settings) == params
+    assert GateParams.for_level_system(species, 60, **params.settings) == (
+        GateParams.for_level_system(
+            species, 60,
+            omega_mu=OMEGA, omega_c=10.0 * OMEGA, d11=10.0, temperature=1e-7, q=0.2,
+            omega_eit=3.0 * OMEGA, d_far=40.0, lambda_sw=0.8, eta_c=0.7,
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from rydgate import pair as pair_module
+from rydgate import qdt
 from rydgate.constants import C3_PREFACTOR_HZ_UM3, TWOPI, mhz_to_rad_s
 from rydgate.angular import angular_block, angular_factor, pair_m_states
 from rydgate.errors import ResonanceError, RydgateError
@@ -80,6 +81,13 @@ def test_c3_compositional(species):
 def test_c3_rejects_non_dipole_pair(species):
     with pytest.raises(RydgateError, match="not dipole-coupled"):
         c3_coefficient(species, s_level(70), s_level(71))
+
+
+@pytest.mark.parametrize("M", [0.5, 2.0])
+def test_c3_rejects_unreachable_projection(species, M):
+    """An M that no pair state reaches is a bad argument, not an uncoupled pair."""
+    with pytest.raises(ValueError, match="M"):
+        c3_coefficient(species, s_level(70), p_level(70, 0.5), M=M)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +204,40 @@ def test_c6_truncation_convergence(species):
     narrow = c6_coefficient(species, s_level(70), s_level(71), max_delta_n=1)
     wide = c6_coefficient(species, s_level(70), s_level(71), max_delta_n=5)
     assert narrow.c6_ghz_um6 == pytest.approx(wide.c6_ghz_um6, rel=0.1)
+
+
+# Convergence of C6(nS, (n+1)S) in the channel truncation and the radial grid.
+# C6 crosses zero between n = 29 and 30 (-0.0105 GHz um^6 at n = 30), so
+# each move is stated in r_b6 = (2 pi |C6| / omega)^(1/6), whose relative
+# move does not depend on omega, and the sign must hold. The largest move
+# measured is 1.4e-6 (n = 100, 2,000 to 4,000 points).
+R_B6_REL_TOL = 5e-6
+
+
+def _r_b6_move(c6, other):
+    assert math.copysign(1.0, other) == math.copysign(1.0, c6)
+    return abs((abs(other) / abs(c6)) ** (1.0 / 6.0) - 1.0)
+
+
+@pytest.mark.parametrize("n", [30, 50, 70, 100])
+def test_c6_converged_in_truncation_and_grid(species, monkeypatch, n):
+    a, b = s_level(n), s_level(n + 1)
+    c6 = c6_coefficient(species, a, b).c6_ghz_um6
+    wide = c6_coefficient(species, a, b, max_delta_n=8).c6_ghz_um6
+    assert _r_b6_move(c6, wide) < R_B6_REL_TOL
+    monkeypatch.setattr(qdt, "GRID_POINTS", 4000)
+    fine = c6_coefficient(species, a, b).c6_ghz_um6
+    assert fine != c6
+    assert _r_b6_move(c6, fine) < R_B6_REL_TOL
+
+
+def test_c6_branches_converged_in_grid(species, monkeypatch):
+    """Each (70S, 71S) branch moves by 3.6e-7 in r_b6 from 2,000 to 4,000 points."""
+    branches = c6_branches(species, s_level(70), s_level(71))
+    monkeypatch.setattr(qdt, "GRID_POINTS", 4000)
+    fine = c6_branches(species, s_level(70), s_level(71))
+    for c6, other in zip(branches, fine):
+        assert _r_b6_move(c6, other) < R_B6_REL_TOL
 
 
 def test_c6_raises_on_resonance(species, monkeypatch):

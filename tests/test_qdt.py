@@ -16,7 +16,6 @@ from rydgate.errors import NumericsError, RydgateError
 from rydgate.levels import RydbergLevel, p_level, parse_level, s_level
 from rydgate.pair import PairState, forster_channels
 from rydgate.qdt import (
-    GridSpec,
     _numerov_inward,
     effective_quantum_number,
     level_energy,
@@ -111,11 +110,6 @@ def test_radial_solution_record(hydrogenic):
 def test_node_counts_zero_defect(hydrogenic, n, L, nodes):
     sol = radial_wavefunction(hydrogenic, RydbergLevel(n, L, L + 0.5))
     assert sol.nodes == nodes
-
-
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(points=50)
 
 
 def test_hydrogen_2p_1s_matrix_element(hydrogenic):
@@ -214,12 +208,20 @@ def test_matrix_element_cache_counts_each_element_as_one_call(species):
     )
 
 
-def test_matrix_element_grid_convergence(species):
-    """Doubling grid density moves the 70S-70P element by < 0.1%."""
+def test_matrix_element_grid_convergence(species, monkeypatch):
+    """Doubling grid density moves the 70S-70P element by < 0.1%. The caches
+    key on the point count, so neither grid reads the other's values."""
     a, b = s_level(70), p_level(70, 0.5)
-    coarse = radial_matrix_element(species, a, b, GridSpec(2000))
-    fine = radial_matrix_element(species, a, b, GridSpec(4000))
+    coarse = radial_matrix_element(species, a, b)
+    assert len(radial_wavefunction(species, a).r) == qdt.GRID_POINTS == 2000
+    with monkeypatch.context() as m:
+        m.setattr(qdt, "GRID_POINTS", 4000)
+        fine = radial_matrix_element(species, a, b)
+        assert len(radial_wavefunction(species, a).r) == 4000
+    assert fine != coarse
     assert fine == pytest.approx(coarse, rel=1e-3)
+    assert radial_matrix_element(species, a, b) == coarse
+    assert len(radial_wavefunction(species, a).r) == 2000
 
 
 # ---------------------------------------------------------------------------

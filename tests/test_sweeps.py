@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rydgate import sweeps
+from rydgate.averaging import averaged_fidelity
 from rydgate.constants import TWOPI
 from rydgate.gate import GateParams
 from rydgate.sweeps import (
@@ -187,6 +188,30 @@ def test_fidelity_sweep_resonant_n_row(species):
     assert cells["axis_value"] == 38.0
     assert math.isnan(cells["f_total"]) and math.isnan(cells["d11_um"])
     assert cells["window_ok"] is False
+
+
+def test_fidelity_sweep_n_axis_keeps_every_setting(species):
+    """An n-axis row is the working point built at that n from all of the
+    fixed point's settings, the optional ones and the radiation temperature
+    included."""
+    settings = dict(
+        omega_mu=TWOPI * 0.25e6, omega_c=TWOPI * 10e6, d11=21.0, temperature=1e-7,
+        q=0.2, omega_eit=TWOPI * 8e6, d_far=60.0, lambda_sw=0.9, eta_c=0.8,
+    )
+    fixed = GateParams.for_level_system(species, 70, bbr_temperature=300.0, **settings)
+    spec = SweepSpec(
+        axis="n", values=(60.0,), fixed=fixed, d11_mode="fixed", bbr_temperature=300.0
+    )
+    header, table, status = fidelity_sweep(species, spec)
+    expected = averaged_fidelity(
+        GateParams.for_level_system(species, 60, bbr_temperature=300.0, **settings)
+    )
+    cells = dict(zip(header, table[0]))
+    assert not status[0].startswith("error")
+    assert cells["f0_avg"] == expected.f0_avg
+    assert cells["eta_m"] == expected.eta_m
+    assert cells["f_total"] == expected.f_total
+    assert cells["coupling_budget"] == expected.coupling_budget == 0.8**2
 
 
 def test_fidelity_sweep_worker_count_invariance(species):
