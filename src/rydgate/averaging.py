@@ -94,20 +94,31 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss_average(curve, d11: float, sigma_um: float, nodes: int) -> float:
-    """Gaussian-weighted mean of ``curve`` over separation, s > 0 only.
+def _gauss_averages(curve, requests, sigma_um: float) -> list[float]:
+    """Gaussian-weighted means of ``curve`` over separation, s > 0 only.
 
-    With no spread (sigma 0) that is the curve at d11 itself.
+    ``requests`` is a list of (d11, nodes) pairs, each averaged with its
+    own Gauss-Hermite rule. The curve is called once, on every request's
+    kept nodes joined together; each mean is reduced over its own slice.
+    With no spread (sigma 0) each mean is the curve at d11 itself.
     """
     if sigma_um == 0.0:
-        return float(curve(np.asarray([d11]))[0])
-    x, w = _hermgauss(nodes)
-    s = d11 + math.sqrt(2.0) * sigma_um * x
-    keep = s > 0.0
-    if not np.any(keep):
-        raise ValueError("separation distribution has no support at s > 0")
-    vals = curve(s[keep])
-    return float(np.sum(w[keep] * vals) / np.sum(w[keep]))
+        return [float(v) for v in curve(np.asarray([d11 for d11, _ in requests]))]
+    kept = []
+    for d11, nodes in requests:
+        x, w = _hermgauss(nodes)
+        s = d11 + math.sqrt(2.0) * sigma_um * x
+        keep = s > 0.0
+        if not np.any(keep):
+            raise ValueError("separation distribution has no support at s > 0")
+        kept.append((s[keep], w[keep]))
+    vals = curve(np.concatenate([s for s, _ in kept]))
+    means, start = [], 0
+    for _, w in kept:
+        part = vals[start : start + len(w)]
+        means.append(float(np.sum(w * part) / np.sum(w)))
+        start += len(w)
+    return means
 
 
 def site_average(curve, d11: float, r_b6_um: float, q: float):
@@ -117,7 +128,8 @@ def site_average(curve, d11: float, r_b6_um: float, q: float):
     per excitation is q * r_b6; the relative coordinate gets sqrt(2) of
     that.  Returns (f0_avg, warnings) where warnings is a tuple of
     strings, non-empty when doubling the quadrature order moves the
-    result by more than 1e-6.
+    result by more than 1e-6.  Both rules are evaluated in one call of
+    the curve.
     """
     if d11 <= 0:
         raise ValueError("d11 must be positive")
@@ -126,8 +138,9 @@ def site_average(curve, d11: float, r_b6_um: float, q: float):
     if q > 0.0 and r_b6_um <= 0:
         raise ValueError("r_b6 must be positive when q > 0")
     sigma = math.sqrt(2.0) * q * r_b6_um
-    coarse = _gauss_average(curve, d11, sigma, SITE_AVERAGE_NODES)
-    fine = _gauss_average(curve, d11, sigma, 2 * SITE_AVERAGE_NODES - 1)
+    coarse, fine = _gauss_averages(
+        curve, [(d11, SITE_AVERAGE_NODES), (d11, 2 * SITE_AVERAGE_NODES - 1)], sigma
+    )
     warnings: tuple[str, ...] = ()
     if abs(fine - coarse) > _CONVERGENCE_TOL:
         warnings = (
@@ -188,6 +201,8 @@ def optimize_d11(params: GateParams) -> tuple[float, AveragedFidelity]:
     stretched by [0.8, 1.2]; raises WindowError when that interval is
     empty.  eta_m does not depend on d11, so the scan maximises f0_avg;
     a coarse grid seeds a bounded scalar minimisation refined to 1e-3 um.
+    The 25-point coarse grid is one call of the curve; each golden-section
+    probe, which depends on the one before, is one more.
     """
     scales = params.lengthscales
     lo = 0.8 * scales.window[0]
@@ -203,10 +218,10 @@ def optimize_d11(params: GateParams) -> tuple[float, AveragedFidelity]:
     sigma = math.sqrt(2.0) * params.q * scales.r_b6
 
     def f0_avg_at(d):
-        return _gauss_average(curve, d, sigma, SITE_AVERAGE_NODES)
+        return _gauss_averages(curve, [(d, SITE_AVERAGE_NODES)], sigma)[0]
 
     coarse = np.linspace(lo, hi, 25)
-    coarse_vals = [f0_avg_at(d) for d in coarse]
+    coarse_vals = _gauss_averages(curve, [(d, SITE_AVERAGE_NODES) for d in coarse], sigma)
     k = int(np.argmax(coarse_vals))
     b_lo = float(coarse[max(k - 1, 0)])
     b_hi = float(coarse[min(k + 1, len(coarse) - 1)])

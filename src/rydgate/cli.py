@@ -30,7 +30,7 @@ from importlib import resources
 
 from .constants import mhz_to_rad_s
 from .errors import RydgateError, SpeciesDataError
-from .gate import GateParams
+from .gate import DEFAULT_D_FAR_FACTOR, DEFAULT_ETA_C, DEFAULT_LAMBDA_SW_UM, GateParams
 from .pair import DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L
 from .species import AtomSpecies, load_species
 from .svgplot import Series, render_plot
@@ -305,9 +305,24 @@ _COMMANDS = {
                 "opt",
                 "'opt' to optimize the pair separation, or fixed:<um> (default opt)",
             ),
-            ("d_far_um", float, None, "non-adjacent pair separation in um (default 5*d11)"),
-            ("lambda_sw_um", float, 1.25, "spin-wave wavelength in um (default 1.25)"),
-            ("eta_c", float, 0.9, "per-site coupling efficiency (default 0.9)"),
+            (
+                "d_far_um",
+                float,
+                None,
+                f"non-adjacent pair separation in um (default {DEFAULT_D_FAR_FACTOR:g}*d11)",
+            ),
+            (
+                "lambda_sw_um",
+                float,
+                DEFAULT_LAMBDA_SW_UM,
+                f"spin-wave wavelength in um (default {DEFAULT_LAMBDA_SW_UM:g})",
+            ),
+            (
+                "eta_c",
+                float,
+                DEFAULT_ETA_C,
+                f"per-site coupling efficiency (default {DEFAULT_ETA_C:g})",
+            ),
             (
                 "bbr_temp_k",
                 float,

@@ -194,7 +194,8 @@ def component_amplitudes(params: GateParams, d11) -> np.ndarray:
     "11" sits at the control-target separation d11; the other three sit
     at d_far, which is 5 * d11 unless pinned. The control spectator decay
     exp(-gamma_rp t / 2) multiplies every component (each component
-    stores one control excitation somewhere).
+    stores one control excitation somewhere). The pulse kernel runs once,
+    on d_far and d11 stacked together.
     """
     d11 = np.asarray(d11, dtype=float)
     if np.any(d11 <= 0):
@@ -213,8 +214,8 @@ def component_amplitudes(params: GateParams, d11) -> np.ndarray:
 
     # far pairs scale with the trial separation unless pinned explicitly
     d_far = DEFAULT_D_FAR_FACTOR * d11 if params.d_far is None else np.full_like(d11, params.d_far)
-    far = stored(d_far)
-    return np.stack([far, far, far, stored(d11)])
+    far, near = stored(np.stack([d_far, d11]))
+    return np.stack([far, far, far, near])
 
 
 def fidelity_curve(params: GateParams):

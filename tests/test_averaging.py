@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from rydgate import averaging
 from rydgate.averaging import (
+    SITE_AVERAGE_NODES,
     DephasingParams,
     averaged_fidelity,
     motional_dephasing,
     optimize_d11,
     site_average,
+    _gauss_averages,
     _golden_max,
+    _hermgauss,
 )
 from rydgate.constants import K_BOLTZMANN, TWOPI
 from rydgate.errors import WindowError
@@ -130,6 +134,45 @@ def test_site_average_validation():
 
 
 # ---------------------------------------------------------------------------
+# batched Gauss averages against the one-request form
+
+def _gauss_average(curve, d11, sigma_um, nodes):
+    """One request, one curve call: the reference for ``_gauss_averages``."""
+    if sigma_um == 0.0:
+        return float(curve(np.asarray([d11]))[0])
+    x, w = _hermgauss(nodes)
+    s = d11 + math.sqrt(2.0) * sigma_um * x
+    keep = s > 0.0
+    if not np.any(keep):
+        raise ValueError("separation distribution has no support at s > 0")
+    vals = curve(s[keep])
+    return float(np.sum(w[keep] * vals) / np.sum(w[keep]))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 3.1])
+def test_gauss_averages_equal_one_request_form_bitwise(species, sigma):
+    curve = fidelity_curve(_gate_params(species))
+    requests = [(12.0, 41), (12.0, 81), (4.0, 41), (4.0, 81), (19.5, 41)]
+    if sigma:
+        # d11 = 4 um puts some nodes of both rules at s <= 0
+        assert np.any(4.0 + math.sqrt(2.0) * sigma * _hermgauss(41)[0] <= 0.0)
+    want = [_gauss_average(curve, d, sigma, nodes) for d, nodes in requests]
+    assert _gauss_averages(curve, requests, sigma) == want
+
+
+def test_gauss_averages_reject_no_support_before_any_curve_call():
+    calls = []
+
+    def curve(s):
+        calls.append(s)
+        return np.ones_like(s)
+
+    with pytest.raises(ValueError, match="no support"):
+        _gauss_averages(curve, [(10.0, 41), (-50.0, 81)], 1.0)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
 # averaged fidelity
 
 def test_averaged_fidelity_zero_q_reduces_to_pointwise(species):
@@ -203,6 +246,53 @@ def test_optimize_d11_empty_window(species):
     )
     with pytest.raises(WindowError):
         optimize_d11(params)
+
+
+# ---------------------------------------------------------------------------
+# curve calls per averaging stage
+
+def _curve_call_sizes(monkeypatch):
+    """Points per call of every curve ``averaging`` builds, in call order."""
+    sizes = []
+    build = averaging.fidelity_curve
+
+    def counting_fidelity_curve(params):
+        curve = build(params)
+
+        def counted(d):
+            sizes.append(np.size(d))
+            return curve(d)
+
+        return counted
+
+    monkeypatch.setattr(averaging, "fidelity_curve", counting_fidelity_curve)
+    return sizes
+
+
+@pytest.mark.parametrize("q", [0.0, 0.2])
+def test_site_average_makes_one_curve_call(species, monkeypatch, q):
+    sizes = _curve_call_sizes(monkeypatch)
+    averaged_fidelity(_gate_params(species, q=q))
+    assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("q", [0.0, 0.05])
+def test_optimize_d11_coarse_scan_is_one_curve_call(species, monkeypatch, q):
+    sizes = _curve_call_sizes(monkeypatch)
+    probes = []
+    golden = averaging._golden_max
+
+    def counting_golden_max(f, lo, hi, tol):
+        return golden(lambda d: probes.append(d) or f(d), lo, hi, tol)
+
+    monkeypatch.setattr(averaging, "_golden_max", counting_golden_max)
+    optimize_d11(_gate_params(species, q=q))
+    # q = 0.05 keeps every node at s > 0, so each stage's point count is exact
+    nodes = 1 if q == 0.0 else SITE_AVERAGE_NODES
+    assert probes
+    assert sizes[0] == 25 * nodes  # the coarse scan
+    assert sizes[1:-1] == [nodes] * (len(probes) + 1)  # each probe, then the check at d_opt
+    assert sizes[-1] == (2 if q == 0.0 else 3 * SITE_AVERAGE_NODES - 1)  # site_average
 
 
 # ---------------------------------------------------------------------------

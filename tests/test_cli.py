@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from rydgate.cli import main
+from rydgate import gate
+from rydgate.cli import _COMMANDS, main
 from rydgate.sweeps import (
     FIDELITY_COLUMNS,
     FORSTER_COLUMNS,
@@ -289,3 +290,12 @@ def test_config_supplies_defaults_and_flags_override(tmp_path):
     assert _run("radii", "--config", str(config), "--n", "72:72", "--out", str(out_flag)) == 0
     _, rows = read_csv(out_flag / "radii.csv")
     assert [r[0] for r in rows] == ["72"]
+
+
+def test_fidelity_defaults_are_the_gate_constants():
+    settings = {name: (default, text) for name, _, default, text in _COMMANDS["fidelity"][1]}
+    assert settings["lambda_sw_um"][0] is gate.DEFAULT_LAMBDA_SW_UM
+    assert settings["eta_c"][0] is gate.DEFAULT_ETA_C
+    assert settings["lambda_sw_um"][1].endswith(f"(default {gate.DEFAULT_LAMBDA_SW_UM:g})")
+    assert settings["eta_c"][1].endswith(f"(default {gate.DEFAULT_ETA_C:g})")
+    assert settings["d_far_um"][1].endswith(f"(default {gate.DEFAULT_D_FAR_FACTOR:g}*d11)")

@@ -298,6 +298,24 @@ def test_component_default_distances():
         assert amp == _stored_amplitude(params, d_default)
 
 
+def _component_amplitudes_two_calls(params, d11):
+    """The pulse kernel once for d_far and once for d11: the reference form."""
+    d11 = np.asarray(d11, dtype=float)
+    d_far = 5.0 * d11 if params.d_far is None else np.full_like(d11, params.d_far)
+    far = _stored_amplitude(params, d_far)
+    return np.stack([far, far, far, _stored_amplitude(params, d11)])
+
+
+@pytest.mark.parametrize("d_far", [None, 37.5])
+@pytest.mark.parametrize("d11", [10.0, np.linspace(6.0, 25.0, 41)], ids=["scalar", "array"])
+def test_component_amplitudes_equal_two_call_form_bitwise(d_far, d11):
+    params = _params(gamma_r=3e3, gamma_rp=2e3, gamma_p=1e5, d_far=d_far)
+    got = component_amplitudes(params, d11)
+    want = _component_amplitudes_two_calls(params, d11)
+    assert got.shape == want.shape == (4,) + np.shape(d11)
+    assert np.array_equal(got, want)
+
+
 def test_far_component_is_clean_rotation():
     params = _params(c6_ghz_um6=100.0, d_far=1e9)
     amp = component_amplitudes(params, params.d11)[COMPONENT_LABELS.index("00")]

@@ -18,17 +18,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        {"kind": "cli", "argv": ["fidelity", "--values", "1", "--workers", "1"]},
-        {"kind": "pair_diag", "n": 66, "max_delta_n": 1},
-    ],
-    ids=["fidelity", "pair_diag"],
-)
-def test_tracer_finds_every_hook(tmp_path, spec):
+def _trace(tmp_path, spec) -> dict:
+    """Run the tracer on ``spec`` in a fresh interpreter; returns its summary."""
     if spec["kind"] == "cli":
-        spec["argv"] += ["--out", str(tmp_path / "out")]
+        spec = {**spec, "argv": spec["argv"] + ["--out", str(tmp_path / "out")]}
     spec_path, out_path = tmp_path / "spec.json", tmp_path / "trace.json"
     spec_path.write_text(json.dumps(spec))
     env = dict(os.environ)
@@ -39,6 +32,29 @@ def test_tracer_finds_every_hook(tmp_path, spec):
         check=True,
         timeout=120,
     )
-    summary = json.loads(out_path.read_text())
+    return json.loads(out_path.read_text())
+
+
+ONE_ROW_FIDELITY = {"kind": "cli", "argv": ["fidelity", "--values", "1", "--workers", "1"]}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ONE_ROW_FIDELITY,
+        {"kind": "pair_diag", "n": 66, "max_delta_n": 1},
+    ],
+    ids=["fidelity", "pair_diag"],
+)
+def test_tracer_finds_every_hook(tmp_path, spec):
+    summary = _trace(tmp_path, spec)
     assert summary["problems"] == []
     assert summary["rows"] >= 1
+
+
+def test_fidelity_row_evaluates_the_curve_once_per_stage(tmp_path):
+    # One coarse d11 scan, one call per golden-section probe, one site
+    # average: 21 calls. Batching moves no point, so the count stays.
+    metrics = _trace(tmp_path, ONE_ROW_FIDELITY)["metrics"]
+    assert metrics["gate.curve.points"] == 1687
+    assert metrics["gate.curve.calls"] == 21
