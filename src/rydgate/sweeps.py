@@ -1,9 +1,11 @@
 """Reproducible parameter sweeps behind the command-line front end.
 
-Rows are keyed by input index and evaluated on a process pool; every
-row function is pure, so output bytes are identical at any worker
-count.  Per-row failures (resonant channel sums, empty operating
-windows) are recorded in the row and in the run manifest, as
+Every command's rows come from one runner: a pure row function per
+input returns ``(status, rows)``, ``rows`` being a list of CSV rows (one
+for radii, merit and fidelity, zero or more for forster).  Results are
+kept in input order at any worker count, so output bytes do not depend
+on the process pool.  Per-row failures (resonant channel sums, empty
+operating windows) are recorded in the row and in the run manifest, as
 ``error: <Type>: <msg>``, instead of aborting the sweep.
 
 Unit conventions at this layer: GateParams fields are SI/internal
@@ -189,6 +191,18 @@ def run_indexed(row_func, payloads, workers: int = 1) -> list:
     return out
 
 
+def _run_rows(columns, row_func, payloads, workers: int):
+    """Run a command's rows; returns (header, table rows, row statuses).
+
+    ``row_func`` returns ``(status, rows)`` per payload, ``rows`` a list
+    of CSV rows; the table joins them in input order, one status per
+    payload.
+    """
+    results = run_indexed(row_func, payloads, workers)
+    table = [row for _, rows in results for row in rows]
+    return list(columns), table, [status for status, _ in results]
+
+
 # ---------------------------------------------------------------------------
 # fidelity sweep
 
@@ -204,50 +218,31 @@ def _params_for_axis_value(
 
 
 def _fidelity_row(args):
-    """One sweep row: (status, cells dict). Top level so pools can pickle it."""
+    """One sweep row: (status, [row]). Top level so pools can pickle it."""
     species, spec, value = args
     _, to_display, _ = AXES[spec.axis]
     display = to_display(float(value))
-    nan = float("nan")
-    cells = {
-        "axis_value": display,
-        "d11_um": nan,
-        "f0_avg": nan,
-        "eta_m": nan,
-        "f_total": nan,
-        "coupling_budget": nan,
-        "window_ok": False,
-    }
     try:
         params = _params_for_axis_value(species, spec, value)
-        scales = params.lengthscales
+        window_ok = params.lengthscales.window_ok
         if spec.d11_mode == "opt":
             d_used, avg = optimize_d11(params)
         else:
             avg = averaged_fidelity(params)
             d_used = params.d11
-        cells.update(
-            d11_um=d_used,
-            f0_avg=avg.f0_avg,
-            eta_m=avg.eta_m,
-            f_total=avg.f_total,
-            coupling_budget=avg.coupling_budget,
-            window_ok=scales.window_ok,
-        )
-        if avg.warnings:
-            return "warning: " + "; ".join(avg.warnings), cells
-        return "ok", cells
     except RydgateError as exc:
-        return _error_status(exc), cells
+        nan = float("nan")
+        return _error_status(exc), [[display, nan, nan, nan, nan, nan, False]]
+    row = [display, d_used, avg.f0_avg, avg.eta_m, avg.f_total, avg.coupling_budget, window_ok]
+    if avg.warnings:
+        return "warning: " + "; ".join(avg.warnings), [row]
+    return "ok", [row]
 
 
 def fidelity_sweep(species: AtomSpecies, spec: SweepSpec, workers: int = 1):
     """Run the sweep; returns (header, table rows, row statuses)."""
-    results = run_indexed(
-        _fidelity_row, [(species, spec, v) for v in spec.values], workers
-    )
-    table = [[cells[c] for c in FIDELITY_COLUMNS] for _, cells in results]
-    return list(FIDELITY_COLUMNS), table, [s for s, _ in results]
+    payloads = [(species, spec, v) for v in spec.values]
+    return _run_rows(FIDELITY_COLUMNS, _fidelity_row, payloads, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +255,7 @@ def _radii_row(args):
     try:
         point = radii_point(species, n, omega)
     except RydgateError as exc:
-        return _error_status(exc), [n, nan, nan, nan, False]
+        return _error_status(exc), [[n, nan, nan, nan, False]]
     cells = [
         point.n,
         nan if point.r_b6_cross_um is None else point.r_b6_cross_um,
@@ -268,12 +263,12 @@ def _radii_row(args):
         point.r_b3_um,
         point.resonant,
     ]
-    return "ok", cells
+    return "ok", [cells]
 
 
 def radii_rows(species: AtomSpecies, n_values, omega: float, workers: int = 1):
-    results = run_indexed(_radii_row, [(species, n, omega) for n in n_values], workers)
-    return list(RADII_COLUMNS), [c for _, c in results], [s for s, _ in results]
+    payloads = [(species, n, omega) for n in n_values]
+    return _run_rows(RADII_COLUMNS, _radii_row, payloads, workers)
 
 
 def _merit_row(args):
@@ -282,17 +277,15 @@ def _merit_row(args):
     try:
         point = figure_of_merit(species, n, temperature)
     except ResonanceError:
-        return "ok", [n, nan, nan, True]
+        return "ok", [[n, nan, nan, True]]
     except RydgateError as exc:
-        return _error_status(exc), [n, nan, nan, False]
-    return "ok", [n, point.merit, point.gamma_used, False]
+        return _error_status(exc), [[n, nan, nan, False]]
+    return "ok", [[n, point.merit, point.gamma_used, False]]
 
 
 def merit_rows(species: AtomSpecies, n_values, temperature: float, workers: int = 1):
-    results = run_indexed(
-        _merit_row, [(species, n, temperature) for n in n_values], workers
-    )
-    return list(MERIT_COLUMNS), [c for _, c in results], [s for s, _ in results]
+    payloads = [(species, n, temperature) for n in n_values]
+    return _run_rows(MERIT_COLUMNS, _merit_row, payloads, workers)
 
 
 def _forster_row(args):
@@ -305,21 +298,12 @@ def _forster_row(args):
         )
     except RydgateError as exc:
         return _error_status(exc), []
-    rows = []
-    for ch in channels:
-        if abs(ch.defect_hz) < threshold_hz:
-            rows.append(
-                [
-                    n,
-                    pair.a.label,
-                    pair.b.label,
-                    ch.final.a.label,
-                    ch.final.b.label,
-                    ch.defect_hz,
-                    ch.coupling_ghz_um3,
-                ]
-            )
-    return "ok", rows
+    initial = [n, pair.a.label, pair.b.label]
+    return "ok", [
+        [*initial, ch.final.a.label, ch.final.b.label, ch.defect_hz, ch.coupling_ghz_um3]
+        for ch in channels
+        if abs(ch.defect_hz) < threshold_hz
+    ]
 
 
 def forster_rows(
@@ -331,11 +315,7 @@ def forster_rows(
     workers: int = 1,
 ):
     """Near-resonant channels across a range of n, sorted by |defect|."""
-    results = run_indexed(
-        _forster_row,
-        [(species, n, threshold_hz, max_delta_n, max_l) for n in n_values],
-        workers,
-    )
-    rows = [row for _, per_n in results for row in per_n]
+    payloads = [(species, n, threshold_hz, max_delta_n, max_l) for n in n_values]
+    header, rows, status = _run_rows(FORSTER_COLUMNS, _forster_row, payloads, workers)
     rows.sort(key=lambda r: (abs(r[5]), r[0], r[3], r[4]))
-    return list(FORSTER_COLUMNS), rows, [s for s, _ in results]
+    return header, rows, status

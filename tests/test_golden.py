@@ -41,9 +41,18 @@ CASES = [
 IDS = [c[0] for c in CASES]
 
 
-@pytest.mark.parametrize("case, argv, suffixes", CASES, ids=IDS)
-def test_command_reproduces_golden_bytes(tmp_path, case, argv, suffixes):
-    assert main([*argv, "--workers", "1", "--out", str(tmp_path)]) == 0
+# The pool path of the commands whose rows the runner flattens (and, for
+# forster, sorts) must write the same bytes as the serial one.
+POOLED = [(*c, "2") for c in CASES if c[0] in ("radii", "merit", "forster")]
+
+
+@pytest.mark.parametrize(
+    "case, argv, suffixes, workers",
+    [(*c, "1") for c in CASES] + POOLED,
+    ids=IDS + [f"{c[0]}-workers2" for c in POOLED],
+)
+def test_command_reproduces_golden_bytes(tmp_path, case, argv, suffixes, workers):
+    assert main([*argv, "--workers", workers, "--out", str(tmp_path)]) == 0
     for suffix in suffixes:
         written = (tmp_path / f"{argv[0]}{suffix}").read_bytes()
         assert written == (GOLDEN / f"{case}{suffix}").read_bytes(), case + suffix
