@@ -5,7 +5,6 @@ Run:  python3 demos/lengthscale_scan.py
 Artifacts land in demos/out/.
 """
 
-import math
 import pathlib
 
 from rydgate.constants import TWOPI
@@ -43,11 +42,7 @@ def main():
         OUT / "radii_scan.svg",
         [
             Series([r[0] for r in radii], [r[3] for r in radii], "r_b3"),
-            Series(
-                [r[0] for r in radii],
-                [float("nan") if r[1] is None or math.isnan(r[1]) else r[1] for r in radii],
-                "r_b6 nS,(n+1)S",
-            ),
+            Series([r[0] for r in radii], [r[1] for r in radii], "r_b6 nS,(n+1)S"),
         ],
         title="Gate lengthscales vs n at 2pi x 1 MHz",
         xlabel="principal quantum number n",
@@ -72,8 +67,7 @@ def main():
 
     render_plot(
         OUT / "merit_scan.svg",
-        [Series([r[0] for r in merits],
-                [float("nan") if math.isnan(r[1]) else r[1] for r in merits], "O")],
+        [Series([r[0] for r in merits], [r[1] for r in merits], "O")],
         title="Figure of merit vs n (300 K radiation)",
         xlabel="principal quantum number n",
         ylabel="O",

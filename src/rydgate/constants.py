@@ -11,24 +11,28 @@ Conventions used throughout the package:
   are Bohr radii.
 
 Conversions between these scales happen once, at module boundaries.
+
+The constants are the CODATA 2022 values, written out as literals: every
+digit of the golden outputs rests on them, so they do not follow whichever
+CODATA edition the installed scipy carries (``tests/test_constants.py``
+holds them to scipy's values).
 """
 
 import math
 
-from scipy.constants import physical_constants as _pc
-from scipy.constants import h as PLANCK_H        # J s
-from scipy.constants import hbar as HBAR         # J s
-from scipy.constants import k as K_BOLTZMANN     # J/K
-from scipy.constants import e as E_CHARGE        # C
-from scipy.constants import epsilon_0 as EPS0    # F/m
-from scipy.constants import fine_structure as ALPHA_FS
+PLANCK_H = 6.62607015e-34          # J s
+HBAR = PLANCK_H / (2 * math.pi)    # J s
+K_BOLTZMANN = 1.380649e-23         # J/K
+E_CHARGE = 1.602176634e-19         # C
+EPS0 = 8.8541878188e-12            # F/m
+ALPHA_FS = 0.0072973525643
 
 TWOPI = 2.0 * math.pi
 
-BOHR_RADIUS = _pc["Bohr radius"][0]  # m
+BOHR_RADIUS = 5.29177210544e-11  # m
 
 # Infinite-mass Rydberg constant as an ordinary frequency, Hz.
-RYDBERG_HZ_INF = _pc["Rydberg constant times c in Hz"][0]
+RYDBERG_HZ_INF = 3289841960250000.0
 
 # e^2 a0^2 / (4 pi eps0 h): dipole-dipole prefactor for radial integrals in
 # units of a0^2, distances in um, energies as ordinary frequencies.

@@ -35,7 +35,6 @@ import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .constants import ALPHA_FS, HBAR, K_BOLTZMANN
 from .errors import NumericsError, RydgateError
@@ -78,6 +77,15 @@ def level_energy(species: AtomSpecies, level: RydbergLevel) -> float:
 GRID_POINTS = 2000
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scipy's composite Simpson rule along the last axis. scipy is imported
+    here, at the first radial integral, not with the package: it is most of
+    the import time, and commands that never integrate do not need it."""
+    from scipy.integrate import simpson
+
+    return simpson(y, x=x)
+
+
 @dataclass(frozen=True)
 class RadialSolution:
     """Normalised radial solution u(r) = r R(r) on its grid.
@@ -96,7 +104,7 @@ class RadialSolution:
     def expectation_r(self) -> float:
         """<r> in Bohr radii."""
         x = np.sqrt(self.r)
-        return float(simpson(2.0 * x**3 * self.u**2, x=x))
+        return float(_simpson(2.0 * x**3 * self.u**2, x))
 
 
 def _inner_cutoff(n_star: float, L: int, has_core: bool) -> float:
@@ -227,7 +235,7 @@ def _normalised_solutions(
         hi = lo + _PASS_ROWS
         x = np.stack(xs[lo:hi])
         w = _solve_on_grid(n_stars[lo:hi], [lv.L for lv in levels[lo:hi]], x)
-        norm2 = simpson(2.0 * x * w * w, x=x, axis=-1)
+        norm2 = _simpson(2.0 * x * w * w, x)
         for level, n_star, x_row, w_row, n2 in zip(
             levels[lo:hi], n_stars[lo:hi], x, w, norm2.tolist()
         ):
@@ -250,7 +258,7 @@ def _radial_solution_cached(
     if u[int(np.argmax(np.abs(u)))] < 0.0:
         u = -u
 
-    coarse = float(simpson(2.0 * x[::2] * u[::2] ** 2, x=x[::2]))
+    coarse = float(_simpson(2.0 * x[::2] * u[::2] ** 2, x[::2]))
     norm_error = abs(coarse - 1.0)
 
     r = x * x
@@ -359,7 +367,7 @@ def _solve_elements(
         y *= 2.0
         y *= u[ia]
         y *= u[ib]
-        values += simpson(y, x=x, axis=-1).tolist()
+        values += _simpson(y, x).tolist()
     return values
 
 
