@@ -14,6 +14,9 @@ Every command is one row of ``_COMMANDS``: its settings, each a
 (key, cast, default, help) tuple that gives the ``--flag``, the config key
 and the manifest entry, and one function that checks the settings and
 computes the rows.  ``_run_command`` does the rest once for all four.
+Parsing, settings, the species and every usage check need no numerical
+module: a command imports ``sweeps`` (and with it numpy) only once its own
+checks have passed.
 
 Exit codes: 0 clean, 1 row-level failures recorded in the CSV, 2 usage
 errors, 3 unreadable or malformed data files.
@@ -28,23 +31,11 @@ import sys
 import time
 from importlib import resources
 
-from .constants import mhz_to_rad_s
+from .constants import AXES, DEFAULT_D_FAR_FACTOR, DEFAULT_ETA_C, DEFAULT_LAMBDA_SW_UM, SWEEP_AXES
+from .constants import DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, mhz_to_rad_s
 from .errors import RydgateError, SpeciesDataError
-from .gate import DEFAULT_D_FAR_FACTOR, DEFAULT_ETA_C, DEFAULT_LAMBDA_SW_UM, GateParams
-from .pair import DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L
-from .species import AtomSpecies, load_species
+from .species import AtomSpecies, load_species, species_digest
 from .svgplot import Series, render_plot
-from .sweeps import (
-    AXES,
-    SWEEP_AXES,
-    SweepSpec,
-    fidelity_sweep,
-    forster_rows,
-    make_manifest,
-    merit_rows,
-    radii_rows,
-    species_digest,
-)
 from .textio import parse_document_file, write_csv
 
 __all__ = ["main", "build_parser", "UsageError"]
@@ -73,34 +64,36 @@ def _parse_n_range(text: str) -> list[int]:
 def _parse_axis_values(text: str, axis: str) -> tuple[float, ...]:
     """Axis values in display units. Comma list, lo:hi:step, lo:hi:count:log."""
     text = text.strip()
-    if "," in text:
-        try:
-            return tuple(float(tok) for tok in text.split(","))
-        except ValueError:
-            raise UsageError(f"bad values list {text!r}") from None
     parts = text.split(":")
+    values = None
     try:
-        if len(parts) == 4 and parts[3] == "log":
+        if "," in text:
+            values = tuple(float(tok) for tok in text.split(","))
+        elif len(parts) == 4 and parts[3] == "log":
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
             if lo <= 0 or hi <= lo or count < 2:
                 raise ValueError
             step = (math.log10(hi) - math.log10(lo)) / (count - 1)
-            return tuple(10.0 ** (math.log10(lo) + i * step) for i in range(count))
-        if len(parts) == 3:
+            values = tuple(10.0 ** (math.log10(lo) + i * step) for i in range(count))
+        elif len(parts) == 3:
             lo, hi, step = (float(p) for p in parts)
             if step <= 0 or hi < lo:
                 raise ValueError
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            return tuple(lo + i * step for i in range(count))
-        if len(parts) == 2 and axis == "n":
-            return tuple(float(v) for v in _parse_n_range(text))
-        if len(parts) == 1:
-            return (float(parts[0]),)
-    except ValueError:
+            values = tuple(lo + i * step for i in range(count))
+        elif len(parts) == 2 and axis == "n":
+            values = tuple(float(v) for v in _parse_n_range(text))
+        elif len(parts) == 1:
+            values = (float(parts[0]),)
+    except (ValueError, OverflowError):  # OverflowError: an infinite lo:hi:step range
         pass
-    raise UsageError(
-        f"bad values {text!r}: expected comma list, lo:hi:step, or lo:hi:count:log"
-    )
+    if values is None:
+        raise UsageError(
+            f"bad values {text!r}: expected comma list, lo:hi:step, or lo:hi:count:log"
+        )
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"axis values must be finite, got {text!r}")
+    return values
 
 
 def _load_species_arg(path) -> tuple[AtomSpecies, str, str]:
@@ -128,9 +121,9 @@ def _load_species_arg(path) -> tuple[AtomSpecies, str, str]:
 def _radii(s, species, csv_path):
     if s["omega_mhz"] <= 0:
         raise UsageError(f"--omega-mhz must be positive, got {s['omega_mhz']}")
-    rows = radii_rows(
-        species, _parse_n_range(s["n"]), mhz_to_rad_s(s["omega_mhz"]), s["workers"]
-    )
+    n_values = _parse_n_range(s["n"])
+    from .sweeps import radii_rows
+    rows = radii_rows(species, n_values, mhz_to_rad_s(s["omega_mhz"]), s["workers"])
     table = rows[1]
     plot = dict(
         columns=[
@@ -151,7 +144,9 @@ def _merit(s, species, csv_path):
     temp_k = s["radiation_temp_k"]
     if temp_k < 0:
         raise UsageError(f"--radiation-temp-k must be non-negative, got {temp_k}")
-    rows = merit_rows(species, _parse_n_range(s["n"]), temp_k, s["workers"])
+    n_values = _parse_n_range(s["n"])
+    from .sweeps import merit_rows
+    rows = merit_rows(species, n_values, temp_k, s["workers"])
     table = rows[1]
     plot = dict(
         columns=[(1, "O", False)],
@@ -183,6 +178,8 @@ def _fidelity(s, species, csv_path):
     else:
         raise UsageError(f"bad --d11 mode {d11_text!r}: expected 'opt' or 'fixed:<um>'")
     values = tuple(to_internal(v) for v in _parse_axis_values(s["values"], axis))
+    from .gate import GateParams
+    from .sweeps import SweepSpec, fidelity_sweep
     nu_eit = s["omega_eit_mhz"]
     try:
         fixed = GateParams.for_level_system(
@@ -235,13 +232,10 @@ def _forster(s, species, csv_path):
     for key in ("threshold_mhz", "max_delta_n", "max_l"):
         if s[key] < 0:
             raise UsageError(f"--{key.replace('_', '-')} must be non-negative, got {s[key]}")
+    n_values = _parse_n_range(s["n"])
+    from .sweeps import forster_rows
     rows = forster_rows(
-        species,
-        _parse_n_range(s["n"]),
-        s["threshold_mhz"] * 1e6,
-        s["max_delta_n"],
-        s["max_l"],
-        s["workers"],
+        species, n_values, s["threshold_mhz"] * 1e6, s["max_delta_n"], s["max_l"], s["workers"]
     )
     return rows, None, f"forster: {len(rows[1])} channel rows -> {csv_path}"
 
@@ -401,7 +395,10 @@ def _run_command(args) -> int:
     if s["workers"] < 1:
         raise UsageError(f"--workers must be at least 1, got {s['workers']}")
     outdir = s["out"] = s["out"] or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {outdir}: {exc.strerror}") from None
     species, digest, s["species"] = _load_species_arg(s["species"])
 
     csv_path = os.path.join(outdir, f"{command}.csv")
@@ -417,6 +414,7 @@ def _run_command(args) -> int:
             for i, label, dashed in plot.pop("columns")
         ]
         render_plot(os.path.join(outdir, f"{command}.svg"), series, **plot)
+    from .sweeps import make_manifest
     # make_manifest writes str(value), which for a float is its repr
     config = {key: "default" if s[key] is None else s[key] for key, *_ in settings}
     config["command"] = command

@@ -12,6 +12,10 @@ Conventions used throughout the package:
 
 Conversions between these scales happen once, at module boundaries.
 
+The defaults and the sweep axis table that the command line shows live
+here too, so that ``rydgate --help`` and the usage checks need no
+numerical module; ``gate``, ``pair`` and ``sweeps`` re-export them.
+
 The constants are the CODATA 2022 values, written out as literals: every
 digit of the golden outputs rests on them, so they do not follow whichever
 CODATA edition the installed scipy carries (``tests/test_constants.py``
@@ -46,3 +50,22 @@ def mhz_to_rad_s(nu_mhz: float) -> float:
     """Ordinary frequency in MHz -> angular frequency in rad/s."""
     return TWOPI * 1e6 * nu_mhz
 
+
+DEFAULT_LAMBDA_SW_UM = 1.25   # spin-wave wavelength, um
+DEFAULT_ETA_C = 0.9           # per-site coupling efficiency
+DEFAULT_D_FAR_FACTOR = 5.0    # non-adjacent pair separation, in units of d11
+DEFAULT_MAX_DELTA_N = 5       # principal-number search width of channel sums
+DEFAULT_MAX_L = 2             # orbital momentum cap of channel sums
+
+_RAD_S_TO_MHZ = 1.0 / (TWOPI * 1e6)
+
+# fidelity sweep axis -> (display units to internal, internal to display
+# units, plot label)
+AXES = {
+    "omega_mu": (mhz_to_rad_s, lambda v: v * _RAD_S_TO_MHZ, "nu_mu (MHz)"),
+    "omega_c": (mhz_to_rad_s, lambda v: v * _RAD_S_TO_MHZ, "nu_c (MHz)"),
+    "n": (float, float, "principal quantum number n"),
+    "q": (float, float, "q = w0 / r_b6"),
+    "temperature": (lambda v: v * 1e-6, lambda v: v * 1e6, "temperature (uK)"),
+}
+SWEEP_AXES = tuple(AXES)

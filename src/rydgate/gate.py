@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .constants import TWOPI
+from .constants import DEFAULT_D_FAR_FACTOR, DEFAULT_ETA_C, DEFAULT_LAMBDA_SW_UM, TWOPI
 from .lengthscales import Lengthscales, _level_system, blockade_radii
 from .pair import c3_coefficient, c6_coefficient
 from .qdt import lifetime
@@ -42,9 +42,6 @@ __all__ = [
 
 COMPONENT_LABELS = ("00", "01", "10", "11")
 
-DEFAULT_LAMBDA_SW_UM = 1.25
-DEFAULT_ETA_C = 0.9
-DEFAULT_D_FAR_FACTOR = 5.0
 # The fields for_level_system computes; the others are GateParams.settings.
 _LEVEL_FIELDS = ("n", "c3_ghz_um3", "c6_ghz_um6", "mass_kg", "gamma_r", "gamma_rp", "gamma_p")
 

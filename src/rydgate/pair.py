@@ -28,7 +28,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .angular import angular_block, angular_factor, exchange_singular_value, pair_m_states
-from .constants import C3_PREFACTOR_HZ_UM3
+from .constants import C3_PREFACTOR_HZ_UM3, DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L
 from .errors import ResonanceError, RydgateError
 from .levels import RydbergLevel
 from .qdt import level_energy, radial_matrix_element, radial_matrix_elements
@@ -49,8 +49,6 @@ __all__ = [
     "RESONANCE_THRESHOLD_HZ",
 ]
 
-DEFAULT_MAX_DELTA_N = 5
-DEFAULT_MAX_L = 2
 RESONANCE_THRESHOLD_HZ = 10e6
 
 

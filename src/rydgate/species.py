@@ -8,6 +8,7 @@ frozen and hashable so they can key memoised radial solutions.
 from __future__ import annotations
 
 import functools
+import hashlib
 from dataclasses import dataclass
 from importlib import resources
 
@@ -146,6 +147,11 @@ def _species_from_document(doc: Document) -> AtomSpecies:
 def load_species(path) -> AtomSpecies:
     """Load a species data file, validating tables and reporting line numbers."""
     return _species_from_document(parse_document_file(path))
+
+
+def species_digest(data: bytes) -> str:
+    """SHA-256 of a species file's bytes, as run manifests record it."""
+    return hashlib.sha256(data).hexdigest()
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,14 +11,13 @@ operating windows) are recorded in the row and in the run manifest, as
 Unit conventions at this layer: GateParams fields are SI/internal
 (rad/s, K, um); the ``axis_value`` CSV column is written in display
 units (MHz for Rabi-frequency axes, uK for the temperature axis) so
-artifacts read like lab numbers.  ``AXES`` holds each axis's two unit
-conversions and its plot label.
+artifacts read like lab numbers.  ``AXES`` (from ``constants``) holds each
+axis's two unit conversions and its plot label.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -27,12 +26,12 @@ import numpy as np
 
 from . import __version__
 from .averaging import averaged_fidelity, optimize_d11
-from .constants import TWOPI, mhz_to_rad_s
+from .constants import AXES, DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, SWEEP_AXES
 from .errors import ResonanceError, RydgateError
 from .gate import GateParams
 from .lengthscales import _level_system, figure_of_merit, radii_point
-from .pair import DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, PairState, forster_channels
-from .species import AtomSpecies
+from .pair import PairState, forster_channels
+from .species import AtomSpecies, species_digest
 
 __all__ = [
     "AXES",
@@ -46,18 +45,6 @@ __all__ = [
     "merit_rows",
     "forster_rows",
 ]
-
-_RAD_S_TO_MHZ = 1.0 / (TWOPI * 1e6)
-
-# axis -> (display units to internal, internal to display units, plot label)
-AXES = {
-    "omega_mu": (mhz_to_rad_s, lambda v: v * _RAD_S_TO_MHZ, "nu_mu (MHz)"),
-    "omega_c": (mhz_to_rad_s, lambda v: v * _RAD_S_TO_MHZ, "nu_c (MHz)"),
-    "n": (float, float, "principal quantum number n"),
-    "q": (float, float, "q = w0 / r_b6"),
-    "temperature": (lambda v: v * 1e-6, lambda v: v * 1e6, "temperature (uK)"),
-}
-SWEEP_AXES = tuple(AXES)
 
 FIDELITY_COLUMNS = (
     "axis_value",
@@ -150,10 +137,6 @@ class RunManifest:
     @property
     def n_errors(self) -> int:
         return sum(1 for s in self.row_status if s.startswith("error"))
-
-
-def species_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def make_manifest(

@@ -241,19 +241,31 @@ def test_forster_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
         ("fidelity", "--values", "1", "--q", "nan"),
         ("fidelity", "--values", "1", "--d11", "fixed:nan"),
         ("merit", "--n", "70", "--config", "nan.cfg"),
+        ("fidelity", "--values", "nan"),
+        ("fidelity", "--values", "1:inf:1"),
+        ("radii", "--n", "70", "--out", "nan.cfg/sub"),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv):
-    # nan.cfg names a config file in tmp_path with a non-finite value
+    # nan.cfg names a config file in tmp_path with a non-finite value; as a
+    # regular file it also makes nan.cfg/sub an --out that cannot be created.
+    # An input's own --out follows the default one, so it wins.
     (tmp_path / "nan.cfg").write_text("[merit]\nradiation_temp_k = nan\n")
-    argv = [str(tmp_path / a) if a == "nan.cfg" else a for a in argv]
-    assert _run(*argv, "--out", str(tmp_path)) == 2
+    argv = [str(tmp_path / a) if a.startswith("nan.cfg") else a for a in argv]
+    assert _run(argv[0], "--out", str(tmp_path), *argv[1:]) == 2
     assert "rydgate" in capsys.readouterr().err
 
 
 def test_unknown_axis_exits_2(tmp_path, capsys):
     assert _run("fidelity", "--axis", "detuning", "--out", str(tmp_path)) == 2
     assert "axis" in capsys.readouterr().err
+
+
+def test_uncreatable_out_names_the_path(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    assert _run("radii", "--n", "70", "--out", str(out)) == 2
+    assert f"cannot create output directory {out}" in capsys.readouterr().err
 
 
 def test_missing_species_file_exits_3(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The physical constants are scipy's CODATA values, written as literals, and
-scipy stays off the import path until the first radial integral."""
+"""The physical constants are scipy's CODATA values, written as literals;
+scipy stays off the import path until the first radial integral, and numpy
+until a command has passed its usage checks."""
 
 import json
 import os
@@ -34,17 +35,31 @@ import contextlib, io, json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-seen = {}
+def numpy_modules():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+
+seen, numpy = {}, {}
+import rydgate
+numpy["import rydgate"] = numpy_modules()
 import rydgate.cli
 from rydgate.species import rb87
 rb87()
 seen["import"] = scipy_modules()
+numpy["import"] = numpy_modules()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = []
-    for argv in (["--help"], ["radii", "--bogus"], ["radii", "--n", "100:30"]):
+    for argv in (
+        ["--help"],
+        ["radii", "--bogus"],
+        ["radii", "--n", "100:30"],
+        ["fidelity", "--axis", "detuning"],
+        ["fidelity", "--values", "nan"],
+    ):
         codes.append(rydgate.cli.main(argv))
         seen[" ".join(argv)] = scipy_modules()
+        numpy[" ".join(argv)] = numpy_modules()
 seen["codes"] = codes
+seen["numpy"] = numpy
 from rydgate import p_level, radial_matrix_element, s_level
 radial_matrix_element(rb87(), s_level(70), p_level(70, 0.5))
 seen["integrated"] = "scipy.integrate" in sys.modules
@@ -60,8 +75,11 @@ def test_scipy_loads_at_the_first_radial_integral():
         timeout=120,
     )
     seen = json.loads(out.stdout)
-    assert seen["codes"] == [0, 2, 2]
+    assert seen["codes"] == [0, 2, 2, 2, 2]
     for stage in ("import", "--help", "radii --bogus", "radii --n 100:30"):
         assert seen[stage] == [], stage
+    assert seen["fidelity --axis detuning"] == seen["fidelity --values nan"] == []
+    assert seen["numpy"] == {stage: [] for stage in seen["numpy"]}
+    assert len(seen["numpy"]) == 7
     assert seen["integrated"]
 
