@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .constants import K_BOLTZMANN
+from .constants import K_BOLTZMANN, check_domain
 from .errors import WindowError
 from .gate import GateParams, fidelity_curve
 
@@ -60,12 +60,8 @@ class DephasingParams:
     pulse_time: float
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
-        if self.mass_kg <= 0 or self.w0_um <= 0 or self.lambda_sw_um <= 0:
-            raise ValueError("mass and lengths must be positive")
-        if self.pulse_time < 0:
-            raise ValueError("pulse_time must be non-negative")
+        for name, value in vars(self).items():
+            check_domain(name, value)
 
 
 def motional_dephasing(params: DephasingParams) -> float:
@@ -131,10 +127,8 @@ def site_average(curve, d11: float, r_b6_um: float, q: float):
     result by more than 1e-6.  Both rules are evaluated in one call of
     the curve.
     """
-    if d11 <= 0:
-        raise ValueError("d11 must be positive")
-    if q < 0:
-        raise ValueError("q must be non-negative")
+    check_domain("d11", d11)
+    check_domain("q", q)
     if q > 0.0 and r_b6_um <= 0:
         raise ValueError("r_b6 must be positive when q > 0")
     sigma = math.sqrt(2.0) * q * r_b6_um

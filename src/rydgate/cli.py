@@ -12,11 +12,11 @@ config values.
 
 Every command is one row of ``_COMMANDS``: its settings, each a
 (key, cast, default, help) tuple that gives the ``--flag``, the config key
-and the manifest entry, and one function that checks the settings and
-computes the rows.  ``_run_command`` does the rest once for all four.
-Parsing, settings, the species and every usage check need no numerical
-module: a command imports ``sweeps`` (and with it numpy) only once its own
-checks have passed.
+and the manifest entry, and one function that parses its n range or axis
+values and computes the rows.  ``_run_command`` does the rest once for all
+four; every number must lie in its ``constants.DOMAINS`` entry.  Parsing,
+settings, the species and every usage check need no numerical module: a
+command imports ``sweeps`` (and with it numpy) only once they have passed.
 
 Exit codes: 0 clean, 1 row-level failures recorded in the CSV, 2 usage
 errors, 3 unreadable or malformed data files.
@@ -31,8 +31,8 @@ import sys
 import time
 from importlib import resources
 
-from .constants import AXES, DEFAULT_D_FAR_FACTOR, DEFAULT_ETA_C, DEFAULT_LAMBDA_SW_UM, SWEEP_AXES
-from .constants import DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, mhz_to_rad_s
+from .constants import AXES, DEFAULT_D_FAR_FACTOR, DEFAULT_ETA_C, DEFAULT_LAMBDA_SW_UM, mhz_to_rad_s
+from .constants import DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, check_axis_values, check_domain
 from .errors import RydgateError, SpeciesDataError
 from .species import AtomSpecies, load_species, species_digest
 from .svgplot import Series, render_plot
@@ -45,7 +45,15 @@ class UsageError(Exception):
     """Bad command-line or config input; message names the offending token."""
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _check(name: str, value, label: str):
+    """``constants.check_domain``, failing as a usage error."""
+    try:
+        return check_domain(name, value, label)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _parse_n_range(text: str, label: str = "--n") -> list[int]:
     parts = text.split(":")
     try:
         if len(parts) == 1:
@@ -56,8 +64,9 @@ def _parse_n_range(text: str) -> list[int]:
             raise ValueError
     except ValueError:
         raise UsageError(f"bad n range {text!r}: expected lo:hi integers") from None
-    if lo < 1 or hi < lo:
-        raise UsageError(f"bad n range {text!r}: need 1 <= lo <= hi")
+    if hi < lo:
+        raise UsageError(f"bad n range {text!r}: need lo <= hi")
+    _check("n", lo, label)
     return list(range(lo, hi + 1))
 
 
@@ -82,7 +91,7 @@ def _parse_axis_values(text: str, axis: str) -> tuple[float, ...]:
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
             values = tuple(lo + i * step for i in range(count))
         elif len(parts) == 2 and axis == "n":
-            values = tuple(float(v) for v in _parse_n_range(text))
+            values = tuple(float(v) for v in _parse_n_range(text, "--values"))
         elif len(parts) == 1:
             values = (float(parts[0]),)
     except (ValueError, OverflowError):  # OverflowError: an infinite lo:hi:step range
@@ -91,9 +100,10 @@ def _parse_axis_values(text: str, axis: str) -> tuple[float, ...]:
         raise UsageError(
             f"bad values {text!r}: expected comma list, lo:hi:step, or lo:hi:count:log"
         )
-    if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"axis values must be finite, got {text!r}")
-    return values
+    try:
+        return check_axis_values(axis, values)
+    except ValueError as exc:
+        raise UsageError(f"--axis {axis} --values {text}: {exc}") from None
 
 
 def _load_species_arg(path) -> tuple[AtomSpecies, str, str]:
@@ -112,15 +122,13 @@ def _load_species_arg(path) -> tuple[AtomSpecies, str, str]:
 
 
 # ---------------------------------------------------------------------------
-# commands: each checks its settings, computes its rows and returns
+# commands: each parses its n range or axis values, computes its rows and returns
 # ((header, table, status), plot or None, summary line).  A plot is the
 # render_plot keywords, with ``columns`` for its series: (table column,
 # label, dashed), each plotted against column 0.
 
 
 def _radii(s, species, csv_path):
-    if s["omega_mhz"] <= 0:
-        raise UsageError(f"--omega-mhz must be positive, got {s['omega_mhz']}")
     n_values = _parse_n_range(s["n"])
     from .sweeps import radii_rows
     rows = radii_rows(species, n_values, mhz_to_rad_s(s["omega_mhz"]), s["workers"])
@@ -142,8 +150,6 @@ def _radii(s, species, csv_path):
 
 def _merit(s, species, csv_path):
     temp_k = s["radiation_temp_k"]
-    if temp_k < 0:
-        raise UsageError(f"--radiation-temp-k must be non-negative, got {temp_k}")
     n_values = _parse_n_range(s["n"])
     from .sweeps import merit_rows
     rows = merit_rows(species, n_values, temp_k, s["workers"])
@@ -161,23 +167,20 @@ def _merit(s, species, csv_path):
 
 def _fidelity(s, species, csv_path):
     axis = s["axis"]
-    if axis not in SWEEP_AXES:
-        raise UsageError(f"unknown axis {axis!r}; choose from {', '.join(SWEEP_AXES)}")
+    values = _parse_axis_values(s["values"], axis)
     to_internal, _, axis_label = AXES[axis]
     d11_text = s["d11"]
     if d11_text == "opt":
         d11_mode, d11_um = "opt", 20.0
     elif d11_text.startswith("fixed:"):
         try:
-            d11_um = float(d11_text.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad --d11 value {d11_text!r}") from None
-        if not math.isfinite(d11_um) or d11_um <= 0:
-            raise UsageError(f"--d11 separation must be finite and positive, got {d11_um}")
+            d11_um = check_domain("d11", float(d11_text.split(":", 1)[1]), "separation")
+        except ValueError as exc:
+            raise UsageError(f"bad --d11 value {d11_text!r}: {exc}") from None
         d11_mode = "fixed"
     else:
         raise UsageError(f"bad --d11 mode {d11_text!r}: expected 'opt' or 'fixed:<um>'")
-    values = tuple(to_internal(v) for v in _parse_axis_values(s["values"], axis))
+    values = tuple(to_internal(v) for v in values)
     from .gate import GateParams
     from .sweeps import SweepSpec, fidelity_sweep
     nu_eit = s["omega_eit_mhz"]
@@ -229,9 +232,6 @@ def _fidelity(s, species, csv_path):
 
 
 def _forster(s, species, csv_path):
-    for key in ("threshold_mhz", "max_delta_n", "max_l"):
-        if s[key] < 0:
-            raise UsageError(f"--{key.replace('_', '-')} must be non-negative, got {s[key]}")
     n_values = _parse_n_range(s["n"])
     from .sweeps import forster_rows
     rows = forster_rows(
@@ -274,7 +274,7 @@ _COMMANDS = {
     "fidelity": (
         "averaged gate fidelity along one axis",
         (
-            ("axis", str, "omega_mu", f"sweep axis, one of {', '.join(SWEEP_AXES)}"),
+            ("axis", str, "omega_mu", f"sweep axis, one of {', '.join(AXES)}"),
             (
                 "values",
                 str,
@@ -381,8 +381,9 @@ def _resolve_settings(args, settings) -> dict:
                     except ValueError:
                         raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
                     break
-        if cast is float and value is not None and not math.isfinite(value):
-            raise UsageError(f"--{key.replace('_', '-')} must be finite, got {value}")
+        if value is not None and cast is not str:
+            stem = key.rsplit("_", 1)[0] if key.endswith(("_mhz", "_uk", "_um", "_k")) else key
+            _check(stem, value, f"--{key.replace('_', '-')}")
         resolved[key] = default if value is None else value
     return resolved
 
@@ -392,8 +393,6 @@ def _run_command(args) -> int:
     _, settings, run = _COMMANDS[command]
     settings = _COMMON + settings
     s = _resolve_settings(args, settings)
-    if s["workers"] < 1:
-        raise UsageError(f"--workers must be at least 1, got {s['workers']}")
     outdir = s["out"] = s["out"] or "."
     try:
         os.makedirs(outdir, exist_ok=True)

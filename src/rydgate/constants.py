@@ -12,9 +12,9 @@ Conventions used throughout the package:
 
 Conversions between these scales happen once, at module boundaries.
 
-The defaults and the sweep axis table that the command line shows live
-here too, so that ``rydgate --help`` and the usage checks need no
-numerical module; ``gate``, ``pair`` and ``sweeps`` re-export them.
+The defaults, the sweep axis table and the domain of every numeric setting
+live here too, so that ``rydgate --help`` and the usage checks need no
+numerical module; ``gate``, ``pair`` and ``sweeps`` re-export the defaults.
 
 The constants are the CODATA 2022 values, written out as literals: every
 digit of the golden outputs rests on them, so they do not follow whichever
@@ -69,3 +69,48 @@ AXES = {
     "temperature": (lambda v: v * 1e-6, lambda v: v * 1e6, "temperature (uK)"),
 }
 SWEEP_AXES = tuple(AXES)
+
+# setting -> (test of a finite value, what the value must be).  The domains
+# are scale-free, so one entry serves a command-line flag in display units
+# (MHz, uK; the entry is the flag's name less its unit suffix) and a
+# library field in internal units (rad/s, K).
+_POSITIVE = (lambda v: v > 0, "positive")
+DOMAINS = {
+    **dict.fromkeys(("omega_mu", "omega_c"), (_POSITIVE[0], "a positive Rabi frequency")),
+    **dict.fromkeys(("omega", "omega_eit", "d11", "d_far", "d_um", "lambda_sw", "lambda_sw_um",
+                     "w0_um", "mass_kg", "c3_ghz_um3"), _POSITIVE),
+    **dict.fromkeys(("temperature", "radiation_temp", "bbr_temp", "pulse_time", "q", "gamma_r",
+                     "gamma_rp", "gamma_p", "threshold", "max_delta_n", "max_l"),
+                    (lambda v: v >= 0, "non-negative")),
+    "c6_ghz_um6": (lambda v: True, "finite"),
+    "eta_c": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    # The level system is nS, (n+1)S and nP_1/2, and there is no 1P level.
+    "n": (lambda v: v == int(v) and v >= 2, "an integer >= 2"),
+    "workers": (lambda v: v >= 1, "at least 1"),
+}
+
+
+def check_domain(name: str, value, label: str | None = None):
+    """``value`` if it is finite and in the domain of setting ``name``;
+    else ValueError naming ``label`` (default ``name``)."""
+    test, phrase = DOMAINS[name]
+    if not math.isfinite(value):
+        phrase = "finite"
+    elif test(value):
+        return value
+    raise ValueError(f"{label or name} must be {phrase}, got {value}")
+
+
+def check_axis_values(axis: str, values):
+    """``values`` if ``axis`` is a sweep axis and they are a non-empty,
+    strictly monotone run, each in the axis's domain; else ValueError."""
+    if axis not in AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; choose from {', '.join(SWEEP_AXES)}")
+    if len(values) == 0:
+        raise ValueError("sweep needs at least one axis value")
+    for v in values:
+        check_domain(axis, v)
+    pairs = list(zip(values, values[1:]))
+    if not (all(b > a for a, b in pairs) or all(b < a for a, b in pairs)):
+        raise ValueError(f"axis values must be strictly monotone, got {list(values)}")
+    return values

@@ -22,11 +22,11 @@ The closed-form 2x2 evolution is vectorised over distance arrays.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from .constants import DEFAULT_D_FAR_FACTOR, DEFAULT_ETA_C, DEFAULT_LAMBDA_SW_UM, TWOPI
+from .constants import check_domain
 from .lengthscales import Lengthscales, _level_system, blockade_radii
 from .pair import c3_coefficient, c6_coefficient
 from .qdt import lifetime
@@ -74,29 +74,9 @@ class GateParams:
     eta_c: float = DEFAULT_ETA_C
 
     def __post_init__(self) -> None:
-        for name, value in dataclasses.asdict(self).items():
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.omega_mu <= 0 or self.omega_c <= 0:
-            raise ValueError("Rabi frequencies must be positive")
-        if self.omega_eit is not None and self.omega_eit <= 0:
-            raise ValueError("omega_eit must be positive when given")
-        if self.d11 <= 0:
-            raise ValueError("d11 must be positive")
-        if self.d_far is not None and self.d_far <= 0:
-            raise ValueError("d_far must be positive when given")
-        if self.q < 0:
-            raise ValueError("q must be non-negative")
-        if not 0.0 <= self.eta_c <= 1.0:
-            raise ValueError("eta_c must lie in [0, 1]")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
-        if min(self.gamma_r, self.gamma_rp, self.gamma_p) < 0:
-            raise ValueError("decay rates must be non-negative")
-        if self.c3_ghz_um3 <= 0:
-            raise ValueError("c3_ghz_um3 must be positive")
-        if self.mass_kg <= 0 or self.lambda_sw <= 0:
-            raise ValueError("mass and spin-wave wavelength must be positive")
+        for name, value in vars(self).items():
+            if value is not None:
+                check_domain(name, value)
 
     @property
     def omega_eit_resolved(self) -> float:

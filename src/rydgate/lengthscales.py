@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .constants import HBAR, PLANCK_H, TWOPI
+from .constants import HBAR, PLANCK_H, TWOPI, check_domain
 from .errors import ResonanceError
 from .levels import RydbergLevel, p_level, s_level
 from .pair import c3_coefficient, c6_coefficient
@@ -84,10 +84,11 @@ def blockade_radii(
     C6 enters through its magnitude; an empty gate window is reported via
     ``window_ok``, not raised.
     """
-    if c3_ghz_um3 <= 0 or c6_ghz_um6 == 0:
-        raise ValueError("coefficients must be non-zero (C3 positive)")
-    if omega_eit <= 0 or omega_mu <= 0:
-        raise ValueError("frequencies must be positive")
+    if c6_ghz_um6 == 0:
+        raise ValueError("c6_ghz_um6 must be non-zero")
+    check_domain("c3_ghz_um3", c3_ghz_um3)
+    check_domain("omega_eit", omega_eit)
+    check_domain("omega_mu", omega_mu)
     r_b3 = _power_radius(c3_ghz_um3, omega_mu, 3)
     r_b6 = _power_radius(c6_ghz_um6, omega_eit, 6)
     r_mu = _power_radius(c6_ghz_um6, omega_mu, 6)

@@ -17,8 +17,6 @@ class RydbergLevel:
     J: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
         if not 0 <= self.L < self.n:
             raise ValueError(f"need 0 <= L < n, got L={self.L}, n={self.n}")
         good_j = abs(abs(self.J - self.L) - 0.5) < 1e-9 or (

@@ -28,7 +28,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .angular import angular_block, angular_factor, exchange_singular_value, pair_m_states
-from .constants import C3_PREFACTOR_HZ_UM3, DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L
+from .constants import C3_PREFACTOR_HZ_UM3, DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, check_domain
 from .errors import ResonanceError, RydgateError
 from .levels import RydbergLevel
 from .qdt import level_energy, radial_matrix_element, radial_matrix_elements
@@ -181,8 +181,7 @@ def forster_channels(
     Channels are ranked by |contribution| = coupling^2 / |defect|; exact
     degeneracies rank first. Zero-coupling combinations are dropped.
     """
-    if max_delta_n < 0:
-        raise ValueError("max_delta_n must be non-negative")
+    check_domain("max_delta_n", max_delta_n)
     finals = list(_coupled_finals(pair.a, pair.b, pair.M, max_delta_n, max_l))
     levels = dict.fromkeys([pair.a, pair.b] + [lv for fa, fb, _ in finals for lv in (fa, fb)])
     energy = {lv: level_energy(species, lv) for lv in levels}
@@ -419,8 +418,7 @@ def pair_hamiltonian_shift(
     ``c6_branches`` for van der Waals pairs. branch="auto" picks
     "extremal" when the pair is exchange-resonant, else "mean".
     """
-    if d_um <= 0:
-        raise ValueError("separation must be positive")
+    check_domain("d_um", d_um)
     if branch not in ("auto", "mean", "extremal"):
         raise ValueError(f"unknown branch {branch!r}")
     if branch == "auto":

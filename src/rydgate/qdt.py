@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ALPHA_FS, HBAR, K_BOLTZMANN
+from .constants import ALPHA_FS, HBAR, K_BOLTZMANN, check_domain
 from .errors import NumericsError, RydgateError
 from .levels import RydbergLevel
 from .species import AtomSpecies
@@ -420,8 +420,7 @@ def lifetime(species: AtomSpecies, level: RydbergLevel, temperature: float) -> f
     (room temperature at high n). temperature = 0 returns the purely
     radiative rate.
     """
-    if temperature < 0.0:
-        raise ValueError("temperature must be >= 0")
+    check_domain("radiation_temp", temperature, "radiation temperature")
     n_star = effective_quantum_number(species, level)
     tau_s_ns, alpha = species.lifetime_scaling(level.L)
     gamma_rad = 1.0 / (tau_s_ns * 1e-9 * n_star**alpha)

@@ -19,14 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
 
 from . import __version__
 from .averaging import averaged_fidelity, optimize_d11
-from .constants import AXES, DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, SWEEP_AXES
+from .constants import AXES, DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, SWEEP_AXES, check_axis_values
 from .errors import ResonanceError, RydgateError
 from .gate import GateParams
 from .lengthscales import _level_system, figure_of_merit, radii_point
@@ -74,10 +71,10 @@ class SweepSpec:
     """One-axis fidelity sweep: which knob, its values, everything else fixed.
 
     ``values`` are in internal units (rad/s for the omega axes, K for
-    temperature, plain numbers for n and q) and must be strictly
-    monotone.  ``fixed`` supplies every non-axis parameter; for the n
-    axis each row rebuilds the interaction coefficients and decay rates
-    from atomic structure at ``bbr_temperature``.
+    temperature, plain numbers for n and q) and pass ``check_axis_values``.
+    ``fixed`` supplies every non-axis parameter; for the n axis each row
+    rebuilds the interaction coefficients and decay rates from atomic
+    structure at ``bbr_temperature``.
     """
 
     axis: str
@@ -87,25 +84,9 @@ class SweepSpec:
     bbr_temperature: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {self.axis!r}; choose from {SWEEP_AXES}")
-        if len(self.values) == 0:
-            raise ValueError("sweep needs at least one axis value")
-        diffs = np.diff(np.asarray(self.values, dtype=float))
-        if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValueError("axis values must be strictly monotone")
+        check_axis_values(self.axis, self.values)
         if self.d11_mode not in ("opt", "fixed"):
             raise ValueError("d11_mode must be 'opt' or 'fixed'")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError(f"axis values must be finite, got {list(self.values)}")
-        if self.axis == "n":
-            bad = [v for v in self.values if float(v) != int(v) or v < 1]
-            if bad:
-                raise ValueError(f"n axis values must be positive integers, got {bad}")
-        else:
-            # Every value must make a valid working point before any row runs.
-            for v in self.values:
-                dataclasses.replace(self.fixed, **{self.axis: float(v)})
 
 
 @dataclasses.dataclass(frozen=True)

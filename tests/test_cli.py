@@ -244,6 +244,10 @@ def test_forster_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
         ("fidelity", "--values", "nan"),
         ("fidelity", "--values", "1:inf:1"),
         ("radii", "--n", "70", "--out", "nan.cfg/sub"),
+        ("radii", "--n", "1"),
+        ("merit", "--n", "1:2"),
+        ("forster", "--n", "1"),
+        ("fidelity", "--axis", "n", "--values", "1,2"),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv):
@@ -254,6 +258,34 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv):
     argv = [str(tmp_path / a) if a.startswith("nan.cfg") else a for a in argv]
     assert _run(argv[0], "--out", str(tmp_path), *argv[1:]) == 2
     assert "rydgate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fidelity", "--q", "-1"),
+        ("fidelity", "--temperature-uk", "-1"),
+        ("fidelity", "--eta-c", "2"),
+        ("fidelity", "--omega-mu-mhz", "0"),
+        ("fidelity", "--omega-c-mhz", "-1"),
+        ("fidelity", "--omega-eit-mhz", "0"),
+        ("fidelity", "--d-far-um", "0"),
+        ("fidelity", "--lambda-sw-um", "0"),
+        ("fidelity", "--bbr-temp-k", "-1"),
+        ("fidelity", "--n", "1"),
+        ("fidelity", "--d11", "fixed:-1"),
+        ("fidelity", "--workers", "0"),
+        ("radii", "--omega-mhz", "0"),
+        ("radii", "--n", "0"),
+        ("merit", "--radiation-temp-k", "-5"),
+        ("forster", "--threshold-mhz", "-2"),
+        ("forster", "--max-delta-n", "-1"),
+        ("forster", "--max-l", "-1"),
+    ],
+)
+def test_usage_error_names_its_flag(tmp_path, capsys, argv):
+    assert _run(*argv, "--out", str(tmp_path)) == 2
+    assert argv[1] in capsys.readouterr().err
 
 
 def test_unknown_axis_exits_2(tmp_path, capsys):

@@ -1,17 +1,21 @@
 """The physical constants are scipy's CODATA values, written as literals;
 scipy stays off the import path until the first radial integral, and numpy
-until a command has passed its usage checks."""
+until a command has passed its usage checks; the domain table names the
+setting it rejects."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import scipy.constants
 from scipy.constants import physical_constants
 
 from rydgate import constants
+from rydgate.constants import check_axis_values, check_domain
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,6 +30,45 @@ def test_literals_equal_scipy_values():
     assert constants.RYDBERG_HZ_INF == physical_constants["Rydberg constant times c in Hz"][0]
     assert constants.HBAR == scipy.constants.hbar
 
+
+def test_domain_checks():
+    assert check_domain("n", 2) == 2
+    assert check_domain("eta_c", 1.0) == 1.0
+    with pytest.raises(ValueError, match=r"^--n must be an integer >= 2, got 1$"):
+        check_domain("n", 1, "--n")
+    with pytest.raises(ValueError, match="^q must be finite"):
+        check_domain("q", math.nan)
+    assert check_axis_values("n", (70.0, 60.0)) == (70.0, 60.0)
+    for axis, values in [("n", (60.5,)), ("q", ()), ("q", (1.0, 1.0)), ("x", (1.0,))]:
+        with pytest.raises(ValueError):
+            check_axis_values(axis, values)
+
+
+# Usage errors that used to compute the working point (C3, C6 and three
+# lifetimes) or crash on n = 1 before they exited 2.
+_BEFORE_PHYSICS = [
+    ["fidelity", "--values", "3,1,2"],
+    ["fidelity", "--values", "1,1"],
+    ["fidelity", "--values", "0"],
+    ["fidelity", "--q", "-1"],
+    ["fidelity", "--temperature-uk", "-1"],
+    ["fidelity", "--eta-c", "2"],
+    ["fidelity", "--omega-mu-mhz", "0"],
+    ["fidelity", "--omega-c-mhz", "-1"],
+    ["fidelity", "--omega-eit-mhz", "0"],
+    ["fidelity", "--d-far-um", "0"],
+    ["fidelity", "--lambda-sw-um", "0"],
+    ["fidelity", "--bbr-temp-k", "-1"],
+    ["fidelity", "--axis", "q", "--values=-1,1"],
+    ["fidelity", "--axis", "temperature", "--values=-1,1"],
+    ["fidelity", "--axis", "n", "--values", "0,1"],
+    ["fidelity", "--axis", "n", "--values", "50.5,60"],
+    ["fidelity", "--axis", "n", "--values", "1,2"],
+    ["fidelity", "--n", "0"],
+    ["radii", "--n", "1"],
+    ["merit", "--n", "1:2"],
+    ["forster", "--n", "1"],
+]
 
 # Run in a fresh interpreter: this suite imports scipy itself (test_gate.py
 # at collection), so sys.modules here says nothing about rydgate's imports.
@@ -54,7 +97,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         ["radii", "--n", "100:30"],
         ["fidelity", "--axis", "detuning"],
         ["fidelity", "--values", "nan"],
-    ):
+    ) + tuple(json.loads(sys.argv[1])):
         codes.append(rydgate.cli.main(argv))
         seen[" ".join(argv)] = scipy_modules()
         numpy[" ".join(argv)] = numpy_modules()
@@ -71,15 +114,17 @@ def test_scipy_loads_at_the_first_radial_integral():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE], env=env, check=True, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, "-c", _PROBE, json.dumps(_BEFORE_PHYSICS)], env=env, check=True,
+        capture_output=True, text=True, timeout=120,
     )
     seen = json.loads(out.stdout)
-    assert seen["codes"] == [0, 2, 2, 2, 2]
+    assert seen["codes"] == [0, 2, 2, 2, 2] + [2] * len(_BEFORE_PHYSICS)
     for stage in ("import", "--help", "radii --bogus", "radii --n 100:30"):
         assert seen[stage] == [], stage
     assert seen["fidelity --axis detuning"] == seen["fidelity --values nan"] == []
+    for argv in _BEFORE_PHYSICS:
+        assert seen[" ".join(argv)] == [], argv
     assert seen["numpy"] == {stage: [] for stage in seen["numpy"]}
-    assert len(seen["numpy"]) == 7
+    assert len(seen["numpy"]) == 7 + len(_BEFORE_PHYSICS)
     assert seen["integrated"]
 

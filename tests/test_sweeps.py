@@ -61,6 +61,8 @@ def test_sweep_spec_validation(species):
         SweepSpec(axis="n", values=(60.5, 70.0), fixed=fixed)
     with pytest.raises(ValueError):
         SweepSpec(axis="n", values=(-10.0,), fixed=fixed)
+    with pytest.raises(ValueError):  # the level system needs an nP level
+        SweepSpec(axis="n", values=(1.0,), fixed=fixed)
     with pytest.raises(ValueError, match="finite"):
         SweepSpec(axis="n", values=(50.0, math.inf), fixed=fixed)
     with pytest.raises(ValueError, match="Rabi"):
