@@ -39,7 +39,7 @@ def main():
         70,
         omega_mu=TWOPI * 0.3e6,
         omega_c=TWOPI * 10e6,
-        d11=20.0,
+        d11=None,  # optimised per point
         temperature=1e-7,  # 0.1 uK
         q=0.2,
     )

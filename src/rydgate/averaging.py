@@ -161,8 +161,11 @@ class AveragedFidelity:
 
 
 def averaged_fidelity(params: GateParams, d11: float | None = None) -> AveragedFidelity:
-    """Positional + motional average of the gate fidelity at one point."""
+    """Positional + motional average of the gate fidelity at separation
+    ``d11``, else ``params.d11``; ValueError when neither is set."""
     d11 = params.d11 if d11 is None else d11
+    if d11 is None:
+        raise ValueError("no pair separation: pass d11 or set params.d11")
     scales = params.lengthscales
     f0_avg, warnings = site_average(fidelity_curve(params), d11, scales.r_b6, params.q)
     # At q = 0, the w0 -> 0 limit of the dephasing envelope: the transit

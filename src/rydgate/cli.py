@@ -8,7 +8,8 @@ SVG where a plot makes sense) into ``--out``.
 
 Config files use the same line-oriented grammar as species files, with
 one section per command plus ``[common]``; command-line flags override
-config values.
+config values, and a section, key or data row that no command reads is a
+usage error.
 
 Every command is one row of ``_COMMANDS``: its settings, each a
 (key, cast, default, help) tuple that gives the ``--flag``, the config key
@@ -33,6 +34,7 @@ from importlib import resources
 
 from .constants import AXES, DEFAULT_D_FAR_FACTOR, DEFAULT_ETA_C, DEFAULT_LAMBDA_SW_UM, mhz_to_rad_s
 from .constants import DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, check_axis_values, check_domain
+from .constants import RESONANCE_THRESHOLD_HZ
 from .errors import RydgateError, SpeciesDataError
 from .species import AtomSpecies, load_species, species_digest
 from .svgplot import Series, render_plot
@@ -56,12 +58,9 @@ def _check(name: str, value, label: str):
 def _parse_n_range(text: str, label: str = "--n") -> list[int]:
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            lo = hi = int(parts[0])
-        elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-        else:
+        if len(parts) > 2:
             raise ValueError
+        lo, hi = int(parts[0]), int(parts[-1])  # "n" is the range n:n
     except ValueError:
         raise UsageError(f"bad n range {text!r}: expected lo:hi integers") from None
     if hi < lo:
@@ -169,16 +168,13 @@ def _fidelity(s, species, csv_path):
     axis = s["axis"]
     values = _parse_axis_values(s["values"], axis)
     to_internal, _, axis_label = AXES[axis]
-    d11_text = s["d11"]
-    if d11_text == "opt":
-        d11_mode, d11_um = "opt", 20.0
-    elif d11_text.startswith("fixed:"):
+    d11_text, d11_um = s["d11"], None  # None: the rows optimise it
+    if d11_text.startswith("fixed:"):
         try:
             d11_um = check_domain("d11", float(d11_text.split(":", 1)[1]), "separation")
         except ValueError as exc:
             raise UsageError(f"bad --d11 value {d11_text!r}: {exc}") from None
-        d11_mode = "fixed"
-    else:
+    elif d11_text != "opt":
         raise UsageError(f"bad --d11 mode {d11_text!r}: expected 'opt' or 'fixed:<um>'")
     values = tuple(to_internal(v) for v in values)
     from .gate import GateParams
@@ -199,13 +195,7 @@ def _fidelity(s, species, csv_path):
             lambda_sw=s["lambda_sw_um"],
             eta_c=s["eta_c"],
         )
-        spec = SweepSpec(
-            axis=axis,
-            values=values,
-            fixed=fixed,
-            d11_mode=d11_mode,
-            bbr_temperature=s["bbr_temp_k"],
-        )
+        spec = SweepSpec(axis=axis, values=values, fixed=fixed)
     except (ValueError, RydgateError) as exc:
         raise UsageError(str(exc)) from None
 
@@ -330,7 +320,12 @@ _COMMANDS = {
         "near-resonant pair channels across n",
         (
             ("n", str, "30:50", "n range lo:hi (default 30:50)"),
-            ("threshold_mhz", float, 10.0, "|defect| cut in MHz (default 10)"),
+            (
+                "threshold_mhz",
+                float,
+                RESONANCE_THRESHOLD_HZ / 1e6,
+                f"|defect| cut in MHz (default {RESONANCE_THRESHOLD_HZ / 1e6:g})",
+            ),
             (
                 "max_delta_n",
                 int,
@@ -365,22 +360,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path, command: str) -> dict:
+    """The raw ``[<command>]`` values of a config file over its ``[common]``
+    ones.  A section, key or data row that no command reads is a usage
+    error; a ``[common]`` key may be any command's setting."""
+    doc = parse_document_file(path)
+    known = {cmd: {key for key, *_ in _COMMON + spec[1]} for cmd, spec in _COMMANDS.items()}
+    known["common"] = set().union(*known.values())
+    for section in {**doc.scalars, **doc.rows}:
+        if section not in known:
+            raise UsageError(f"config {doc.source}: unknown section [{section}]")
+        for key in doc.section_scalars(section):
+            if key not in known[section]:
+                raise UsageError(f"config {doc.source}: [{section}] has no setting {key!r}")
+        for _, lineno in doc.section_rows(section):
+            raise UsageError(f"config {doc.source}:{lineno}: data row in [{section}]")
+    return {**doc.section_scalars("common"), **doc.section_scalars(command)}
+
+
 def _resolve_settings(args, settings) -> dict:
     """Each setting from its flag, else ``[<command>]`` then ``[common]``
     of the config file, else its default."""
-    doc = parse_document_file(args.config) if args.config else None
+    config = _read_config(args.config, args.command) if args.config else {}
     resolved = {}
     for key, cast, default, _ in settings:
-        value = getattr(args, key)
-        if value is None and doc is not None:
-            for section in (args.command, "common"):
-                raw = doc.section_scalars(section).get(key)
-                if raw is not None:
-                    try:
-                        value = cast(raw)
-                    except ValueError:
-                        raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
-                    break
+        value, raw = getattr(args, key), config.get(key)
+        if value is None and raw is not None:
+            try:
+                value = cast(raw)
+            except ValueError:
+                raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
         if value is not None and cast is not str:
             stem = key.rsplit("_", 1)[0] if key.endswith(("_mhz", "_uk", "_um", "_k")) else key
             _check(stem, value, f"--{key.replace('_', '-')}")

@@ -56,6 +56,7 @@ DEFAULT_ETA_C = 0.9           # per-site coupling efficiency
 DEFAULT_D_FAR_FACTOR = 5.0    # non-adjacent pair separation, in units of d11
 DEFAULT_MAX_DELTA_N = 5       # principal-number search width of channel sums
 DEFAULT_MAX_L = 2             # orbital momentum cap of channel sums
+RESONANCE_THRESHOLD_HZ = 10e6  # |defect| below which a channel counts as resonant
 
 _RAD_S_TO_MHZ = 1.0 / (TWOPI * 1e6)
 
@@ -79,8 +80,8 @@ DOMAINS = {
     **dict.fromkeys(("omega_mu", "omega_c"), (_POSITIVE[0], "a positive Rabi frequency")),
     **dict.fromkeys(("omega", "omega_eit", "d11", "d_far", "d_um", "lambda_sw", "lambda_sw_um",
                      "w0_um", "mass_kg", "c3_ghz_um3"), _POSITIVE),
-    **dict.fromkeys(("temperature", "radiation_temp", "bbr_temp", "pulse_time", "q", "gamma_r",
-                     "gamma_rp", "gamma_p", "threshold", "max_delta_n", "max_l"),
+    **dict.fromkeys(("temperature", "radiation_temp", "bbr_temp", "bbr_temperature", "pulse_time",
+                     "q", "gamma_r", "gamma_rp", "gamma_p", "threshold", "max_delta_n", "max_l"),
                     (lambda v: v >= 0, "non-negative")),
     "c6_ghz_um6": (lambda v: True, "finite"),
     "eta_c": (lambda v: 0 <= v <= 1, "in [0, 1]"),

@@ -52,14 +52,15 @@ class GateParams:
 
     Angular frequencies (omega_*) are in rad/s; interaction coefficients
     are Planck-unit GHz um^3 / GHz um^6; distances in um; temperature is
-    the atomic motional temperature in K (the radiation temperature that
-    set the decay rates is a separate knob of the builder).
+    the atomic motional temperature in K, bbr_temperature the radiation
+    temperature in K that set the decay rates.  d11 = None leaves the
+    pair separation to the optimiser.
     """
 
     n: int
     omega_mu: float
     omega_c: float
-    d11: float
+    d11: float | None
     temperature: float
     q: float
     c3_ghz_um3: float
@@ -72,6 +73,7 @@ class GateParams:
     d_far: float | None = None
     lambda_sw: float = DEFAULT_LAMBDA_SW_UM
     eta_c: float = DEFAULT_ETA_C
+    bbr_temperature: float = 0.0
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
@@ -101,33 +103,26 @@ class GateParams:
         return TWOPI / self.omega_mu
 
     @classmethod
-    def for_level_system(
-        cls,
-        species: AtomSpecies,
-        n: int,
-        *,
-        bbr_temperature: float = 0.0,
-        **settings,
-    ) -> "GateParams":
+    def for_level_system(cls, species: AtomSpecies, n: int, **settings) -> "GateParams":
         """Assemble a working point for the nS/(n+1)S/nP_1/2 level system.
 
         Computes C3, C6 and the three decay rates from atomic structure.
-        Decay defaults to purely radiative; pass ``bbr_temperature`` (K)
-        to add blackbody-stimulated decay.  That radiation temperature is
-        distinct from the motional ``temperature`` driving dephasing.
         ``settings`` are the other fields: omega_mu, omega_c, d11,
-        temperature and q, and optionally omega_eit, d_far, lambda_sw and
-        eta_c; a working point's ``settings`` rebuild it at another n.
+        temperature and q, and optionally omega_eit, d_far, lambda_sw,
+        eta_c and bbr_temperature (the radiation temperature, which adds
+        blackbody-stimulated decay; decay is purely radiative without it).
+        A working point's ``settings`` rebuild it at another n.
         """
         control, target, aux = _level_system(n)
+        bbr = settings.get("bbr_temperature", cls.bbr_temperature)
         return cls(
             n=n,
             c3_ghz_um3=c3_coefficient(species, control, aux),
             c6_ghz_um6=c6_coefficient(species, control, target).c6_ghz_um6,
             mass_kg=species.mass,
-            gamma_r=lifetime(species, target, bbr_temperature),
-            gamma_rp=lifetime(species, control, bbr_temperature),
-            gamma_p=lifetime(species, aux, bbr_temperature),
+            gamma_r=lifetime(species, target, bbr),
+            gamma_rp=lifetime(species, control, bbr),
+            gamma_p=lifetime(species, aux, bbr),
             **settings,
         )
 

@@ -8,6 +8,11 @@ from dataclasses import dataclass
 _L_LETTERS = "SPDFGHIKLMN"
 
 
+def valid_j(L: int, J: float) -> bool:
+    """Whether J is a fine-structure level of L: J = L +/- 1/2 and J >= 1/2."""
+    return J > 0 and abs(abs(J - L) - 0.5) < 1e-9
+
+
 @dataclass(frozen=True, order=True)
 class RydbergLevel:
     """One fine-structure level |n, L, J> of a single valence electron."""
@@ -19,11 +24,8 @@ class RydbergLevel:
     def __post_init__(self):
         if not 0 <= self.L < self.n:
             raise ValueError(f"need 0 <= L < n, got L={self.L}, n={self.n}")
-        good_j = abs(abs(self.J - self.L) - 0.5) < 1e-9 or (
-            self.L == 0 and self.J == 0.5
-        )
-        if not good_j:
-            raise ValueError(f"J must be L +/- 1/2, got L={self.L}, J={self.J}")
+        if not valid_j(self.L, self.J):
+            raise ValueError(f"J must be L +/- 1/2 and positive, got L={self.L}, J={self.J}")
 
     @property
     def label(self) -> str:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .angular import angular_block, angular_factor, exchange_singular_value, pair_m_states
 from .constants import C3_PREFACTOR_HZ_UM3, DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, check_domain
+from .constants import RESONANCE_THRESHOLD_HZ
 from .errors import ResonanceError, RydgateError
 from .levels import RydbergLevel
 from .qdt import level_energy, radial_matrix_element, radial_matrix_elements
@@ -48,8 +49,6 @@ __all__ = [
     "DEFAULT_MAX_L",
     "RESONANCE_THRESHOLD_HZ",
 ]
-
-RESONANCE_THRESHOLD_HZ = 10e6
 
 
 @dataclasses.dataclass(frozen=True)

@@ -14,6 +14,7 @@ from importlib import resources
 
 from .constants import RYDBERG_HZ_INF
 from .errors import SpeciesDataError
+from .levels import valid_j
 from .textio import Document, parse_document_file, parse_float, parse_int
 
 
@@ -102,10 +103,8 @@ def _species_from_document(doc: Document) -> AtomSpecies:
         d2 = parse_float(tokens[3], src, lineno, "delta2")
         if L < 0:
             raise SpeciesDataError(f"{src}:{lineno}: L must be non-negative")
-        if abs(abs(J - L) - 0.5) > 1e-9 and not (L == 0 and J == 0.5):
-            raise SpeciesDataError(
-                f"{src}:{lineno}: J={J} is not L +/- 1/2 for L={L}"
-            )
+        if not valid_j(L, J):
+            raise SpeciesDataError(f"{src}:{lineno}: J={J} is not L +/- 1/2 and positive for L={L}")
         if d0 < 0.0:
             raise SpeciesDataError(f"{src}:{lineno}: delta0 must be >= 0")
         if (L, J) in seen:

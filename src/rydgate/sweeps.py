@@ -72,21 +72,17 @@ class SweepSpec:
 
     ``values`` are in internal units (rad/s for the omega axes, K for
     temperature, plain numbers for n and q) and pass ``check_axis_values``.
-    ``fixed`` supplies every non-axis parameter; for the n axis each row
-    rebuilds the interaction coefficients and decay rates from atomic
-    structure at ``bbr_temperature``.
+    ``fixed`` supplies every non-axis parameter, the d11 choice included
+    (None optimises it per row); for the n axis each row rebuilds the
+    working point from ``fixed.settings`` at that n.
     """
 
     axis: str
     values: tuple[float, ...]
     fixed: GateParams
-    d11_mode: str = "opt"
-    bbr_temperature: float = 0.0
 
     def __post_init__(self) -> None:
         check_axis_values(self.axis, self.values)
-        if self.d11_mode not in ("opt", "fixed"):
-            raise ValueError("d11_mode must be 'opt' or 'fixed'")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -171,29 +167,21 @@ def _run_rows(columns, row_func, payloads, workers: int):
 # fidelity sweep
 
 
-def _params_for_axis_value(
-    species: AtomSpecies, spec: SweepSpec, value: float
-) -> GateParams:
-    if spec.axis == "n":
-        return GateParams.for_level_system(
-            species, int(value), bbr_temperature=spec.bbr_temperature, **spec.fixed.settings
-        )
-    return dataclasses.replace(spec.fixed, **{spec.axis: float(value)})
-
-
 def _fidelity_row(args):
     """One sweep row: (status, [row]). Top level so pools can pickle it."""
     species, spec, value = args
     _, to_display, _ = AXES[spec.axis]
     display = to_display(float(value))
     try:
-        params = _params_for_axis_value(species, spec, value)
+        if spec.axis == "n":
+            params = GateParams.for_level_system(species, int(value), **spec.fixed.settings)
+        else:
+            params = dataclasses.replace(spec.fixed, **{spec.axis: float(value)})
         window_ok = params.lengthscales.window_ok
-        if spec.d11_mode == "opt":
+        if params.d11 is None:
             d_used, avg = optimize_d11(params)
         else:
-            avg = averaged_fidelity(params)
-            d_used = params.d11
+            d_used, avg = params.d11, averaged_fidelity(params)
     except RydgateError as exc:
         nan = float("nan")
         return _error_status(exc), [[display, nan, nan, nan, nan, nan, False]]

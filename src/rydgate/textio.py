@@ -1,6 +1,6 @@
 """Line-oriented key-value grammar and deterministic CSV I/O.
 
-Grammar (shared by species files, config files, and run manifests):
+Grammar (shared by species files and config files; run manifests are JSON):
 
 * blank lines and ``# comment`` lines are ignored; a ``#`` also starts a
   trailing comment on any line,

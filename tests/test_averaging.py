@@ -207,6 +207,13 @@ def test_averaged_fidelity_eta_m_independent_of_d11(species):
     assert averaged_fidelity(params, 9.0).eta_m == averaged_fidelity(params, 15.0).eta_m
 
 
+def test_averaged_fidelity_needs_a_separation(species):
+    params = _gate_params(species, d11=None)
+    with pytest.raises(ValueError, match="no pair separation"):
+        averaged_fidelity(params)
+    assert averaged_fidelity(params, 12.0) == averaged_fidelity(_gate_params(species))
+
+
 # ---------------------------------------------------------------------------
 # d11 optimiser
 

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from rydgate import gate
+from rydgate import gate, pair
 from rydgate.cli import _COMMANDS, main
 from rydgate.sweeps import (
     FIDELITY_COLUMNS,
@@ -334,6 +334,49 @@ def test_config_supplies_defaults_and_flags_override(tmp_path):
     assert _run("radii", "--config", str(config), "--n", "72:72", "--out", str(out_flag)) == 0
     _, rows = read_csv(out_flag / "radii.csv")
     assert [r[0] for r in rows] == ["72"]
+
+
+def test_config_sections_of_other_commands_are_read_by_them_only(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "[common]\nthreshold_mhz = 5\n"  # forster's, so radii leaves it be
+        "[radii]\nn = 70:70\n[fidelity]\nq = 0.3\n[forster]\nmax_l = 1\n"
+    )
+    assert _run("radii", "--config", str(config), "--out", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "radii.manifest.json").read_text())
+    assert "threshold_mhz" not in manifest["config"]
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[radii]\nomega = 5\n", ("[radii]", "'omega'")),
+        ("[radii]\nthreshold_mhz = 5\n", ("[radii]", "'threshold_mhz'")),
+        ("[fidelity]\nomega_mhz = 5\n", ("[fidelity]", "'omega_mhz'")),
+        ("[common]\nomega = 5\n", ("[common]", "'omega'")),
+        ("[common]\nconfig = other.cfg\n", ("[common]", "'config'")),
+        ("[radi]\nomega_mhz = 5\n", ("[radi]",)),
+        ("omega_mhz = 5\n", ("[]",)),
+        ("[radii]\n70 72\n", ("[radii]", ":2:")),
+    ],
+    ids=["key", "other-command-key", "other-section-key", "common-key", "config-key",
+         "section", "no-section", "data-row"],
+)
+def test_config_typos_exit_2(tmp_path, capsys, text, named):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    assert _run("radii", "--n", "70", "--config", str(config), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in named), err
+    assert not (tmp_path / "radii.csv").exists()
+
+
+def test_forster_threshold_default_is_the_resonance_threshold():
+    settings = {name: (default, text) for name, _, default, text in _COMMANDS["forster"][1]}
+    assert settings["threshold_mhz"][0] == pair.RESONANCE_THRESHOLD_HZ / 1e6
+    assert settings["threshold_mhz"][1].endswith(
+        f"(default {pair.RESONANCE_THRESHOLD_HZ / 1e6:g})"
+    )
 
 
 def test_fidelity_defaults_are_the_gate_constants():

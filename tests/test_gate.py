@@ -264,6 +264,31 @@ def test_settings_rebuild_the_working_point(species):
     )
 
 
+def test_settings_carry_the_radiation_temperature(species):
+    """A working point at 300 K rebuilds with its blackbody decay, not the
+    radiative rates alone."""
+    params = GateParams.for_level_system(
+        species, 70,
+        omega_mu=OMEGA, omega_c=10.0 * OMEGA, d11=10.0, temperature=1e-7, q=0.2,
+        bbr_temperature=300.0,
+    )
+    assert params.settings["bbr_temperature"] == 300.0
+    assert GateParams.for_level_system(species, 70, **params.settings) == params
+    assert GateParams.for_level_system(species, 60, **params.settings).gamma_r == lifetime(
+        species, s_level(61), 300.0
+    )
+
+
+def test_d11_none_is_a_working_point(species):
+    """d11 = None leaves the separation open; every other field is checked."""
+    params = GateParams.for_level_system(
+        species, 70, omega_mu=OMEGA, omega_c=10.0 * OMEGA, d11=None, temperature=1e-7, q=0.2
+    )
+    assert params.d11 is None
+    with pytest.raises(ValueError, match="bbr_temperature"):
+        dataclasses.replace(params, bbr_temperature=-1.0)
+
+
 # ---------------------------------------------------------------------------
 # component amplitudes
 

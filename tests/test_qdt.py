@@ -45,6 +45,8 @@ def test_level_validation():
     with pytest.raises(ValueError):
         RydbergLevel(5, 1, 2.5)  # J must be L +/- 1/2
     with pytest.raises(ValueError):
+        RydbergLevel(70, 0, -0.5)  # and at least 1/2
+    with pytest.raises(ValueError):
         parse_level("70X1/2")
 
 

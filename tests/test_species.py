@@ -96,6 +96,12 @@ def test_bad_j_for_l(tmp_path):
         write_and_load(tmp_path, text)
 
 
+def test_negative_j_for_s_series(tmp_path):
+    text = MINIMAL.replace("0 0.5 3.13 0.18", "0 -0.5 3.13 0.18")
+    with pytest.raises(SpeciesDataError, match="not L"):
+        write_and_load(tmp_path, text)
+
+
 def test_defect_row_width(tmp_path):
     text = MINIMAL.replace("0 0.5 3.13 0.18", "0 0.5 3.13")
     with pytest.raises(SpeciesDataError, match="4 fields"):

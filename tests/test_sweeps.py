@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rydgate import sweeps
-from rydgate.averaging import averaged_fidelity
+from rydgate.averaging import averaged_fidelity, optimize_d11
 from rydgate.constants import TWOPI
 from rydgate.gate import GateParams
 from rydgate.sweeps import (
@@ -55,8 +55,6 @@ def test_sweep_spec_validation(species):
         SweepSpec(**{**good, "values": ()})
     with pytest.raises(ValueError):
         SweepSpec(**{**good, "values": (1e6, 3e6, 2e6)})
-    with pytest.raises(ValueError):
-        SweepSpec(**{**good, "d11_mode": "auto"})
     with pytest.raises(ValueError):
         SweepSpec(axis="n", values=(60.5, 70.0), fixed=fixed)
     with pytest.raises(ValueError):
@@ -144,7 +142,6 @@ def test_fidelity_sweep_fixed_d11(species):
         axis="omega_mu",
         values=(TWOPI * 0.2e6, TWOPI * 0.3e6),
         fixed=fixed,
-        d11_mode="fixed",
     )
     header, table, status = fidelity_sweep(species, spec)
     assert header == list(FIDELITY_COLUMNS)
@@ -162,6 +159,17 @@ def test_fidelity_sweep_fixed_d11(species):
         assert cells["window_ok"] is True
 
 
+def test_fidelity_sweep_optimises_an_open_d11(species):
+    """A working point without d11 gets the optimiser's separation per row."""
+    fixed = _fixed_params(species, d11=None)
+    spec = SweepSpec(axis="omega_mu", values=(fixed.omega_mu,), fixed=fixed)
+    header, table, status = fidelity_sweep(species, spec)
+    d_opt, best = optimize_d11(fixed)
+    cells = dict(zip(header, table[0]))
+    assert cells["d11_um"] == d_opt
+    assert cells["f_total"] == best.f_total
+
+
 def test_fidelity_sweep_reports_quadrature_warnings(species):
     """At finite q the fringe structure near a poorly chosen separation
     exceeds what the default quadrature resolves; the row says so but
@@ -171,7 +179,6 @@ def test_fidelity_sweep_reports_quadrature_warnings(species):
         axis="omega_mu",
         values=(TWOPI * 0.2e6,),
         fixed=fixed,
-        d11_mode="fixed",
     )
     header, table, status = fidelity_sweep(species, spec)
     assert status[0].startswith("warning")
@@ -201,9 +208,7 @@ def test_fidelity_sweep_n_axis_keeps_every_setting(species):
         q=0.2, omega_eit=TWOPI * 8e6, d_far=60.0, lambda_sw=0.9, eta_c=0.8,
     )
     fixed = GateParams.for_level_system(species, 70, bbr_temperature=300.0, **settings)
-    spec = SweepSpec(
-        axis="n", values=(60.0,), fixed=fixed, d11_mode="fixed", bbr_temperature=300.0
-    )
+    spec = SweepSpec(axis="n", values=(60.0,), fixed=fixed)
     header, table, status = fidelity_sweep(species, spec)
     expected = averaged_fidelity(
         GateParams.for_level_system(species, 60, bbr_temperature=300.0, **settings)
@@ -222,7 +227,6 @@ def test_fidelity_sweep_worker_count_invariance(species):
         axis="q",
         values=(0.1, 0.2, 0.3),
         fixed=fixed,
-        d11_mode="fixed",
     )
     header1, table1, status1 = fidelity_sweep(species, spec, workers=1)
     header2, table2, status2 = fidelity_sweep(species, spec, workers=2)

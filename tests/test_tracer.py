@@ -36,6 +36,7 @@ def _trace(tmp_path, spec) -> dict:
 
 
 ONE_ROW_FIDELITY = {"kind": "cli", "argv": ["fidelity", "--values", "1", "--workers", "1"]}
+ONE_FIXED_ROW_FIDELITY = {"kind": "cli", "argv": ONE_ROW_FIDELITY["argv"] + ["--d11", "fixed:18"]}
 
 
 @pytest.mark.parametrize(
@@ -58,3 +59,13 @@ def test_fidelity_row_evaluates_the_curve_once_per_stage(tmp_path):
     metrics = _trace(tmp_path, ONE_ROW_FIDELITY)["metrics"]
     assert metrics["gate.curve.points"] == 1687
     assert metrics["gate.curve.calls"] == 21
+
+
+def test_fixed_d11_row_skips_the_optimiser(tmp_path):
+    # A pinned separation is one site average: two Gauss-Hermite rules,
+    # 41 + 81 nodes less those at s <= 0, in one curve call.
+    metrics = _trace(tmp_path, ONE_FIXED_ROW_FIDELITY)["metrics"]
+    assert metrics["gate.curve.points"] == 101
+    assert metrics["gate.curve.calls"] == 1
+    assert metrics["averaging.optimize_d11.calls"] == 0
+    assert metrics["averaging.averaged_fidelity.calls"] == 1
