@@ -20,7 +20,8 @@ settings, the species and every usage check need no numerical module: a
 command imports ``sweeps`` (and with it numpy) only once they have passed.
 
 Exit codes: 0 clean, 1 row-level failures recorded in the CSV, 2 usage
-errors, 3 unreadable or malformed data files.
+errors (every config file problem among them), 3 a species file that is
+unreadable, malformed or outside its domain.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ import math
 import os
 import sys
 import time
-from importlib import resources
 
 from .constants import AXES, DEFAULT_D_FAR_FACTOR, DEFAULT_ETA_C, DEFAULT_LAMBDA_SW_UM, mhz_to_rad_s
-from .constants import DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, check_axis_values, check_domain
+from .constants import DEFAULT_MAX_DELTA_N, check_axis_values, check_domain
 from .constants import RESONANCE_THRESHOLD_HZ
 from .errors import RydgateError, SpeciesDataError
-from .species import AtomSpecies, load_species, species_digest
+from .species import PACKAGED, load_species
 from .svgplot import Series, render_plot
 from .textio import parse_document_file, write_csv
 
@@ -103,21 +103,6 @@ def _parse_axis_values(text: str, axis: str) -> tuple[float, ...]:
         return check_axis_values(axis, values)
     except ValueError as exc:
         raise UsageError(f"--axis {axis} --values {text}: {exc}") from None
-
-
-def _load_species_arg(path) -> tuple[AtomSpecies, str, str]:
-    """(species, sha256 digest, human-readable source)."""
-    if path is None:
-        res = resources.files("rydgate.data").joinpath("rb87.species")
-        data = res.read_bytes()
-        with resources.as_file(res) as p:
-            return load_species(p), species_digest(data), "packaged:rb87.species"
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise SpeciesDataError(f"cannot read {path}: {exc}") from exc
-    return load_species(path), species_digest(data), str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +209,7 @@ def _fidelity(s, species, csv_path):
 def _forster(s, species, csv_path):
     n_values = _parse_n_range(s["n"])
     from .sweeps import forster_rows
-    rows = forster_rows(
-        species, n_values, s["threshold_mhz"] * 1e6, s["max_delta_n"], s["max_l"], s["workers"]
-    )
+    rows = forster_rows(species, n_values, s["threshold_mhz"] * 1e6, s["max_delta_n"], s["workers"])
     return rows, None, f"forster: {len(rows[1])} channel rows -> {csv_path}"
 
 
@@ -332,12 +315,6 @@ _COMMANDS = {
                 DEFAULT_MAX_DELTA_N,
                 f"principal-number search width (default {DEFAULT_MAX_DELTA_N})",
             ),
-            (
-                "max_l",
-                int,
-                DEFAULT_MAX_L,
-                f"orbital momentum cap for channels (default {DEFAULT_MAX_L})",
-            ),
         ),
         _forster,
     ),
@@ -363,8 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_config(path, command: str) -> dict:
     """The raw ``[<command>]`` values of a config file over its ``[common]``
     ones.  A section, key or data row that no command reads is a usage
-    error; a ``[common]`` key may be any command's setting."""
-    doc = parse_document_file(path)
+    error, as is a file that cannot be read or parsed; a ``[common]`` key
+    may be any command's setting."""
+    try:
+        doc = parse_document_file(path)
+    except SpeciesDataError as exc:
+        raise UsageError(str(exc)) from None
     known = {cmd: {key for key, *_ in _COMMON + spec[1]} for cmd, spec in _COMMANDS.items()}
     known["common"] = set().union(*known.values())
     for section in {**doc.scalars, **doc.rows}:
@@ -407,7 +388,8 @@ def _run_command(args) -> int:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create output directory {outdir}: {exc.strerror}") from None
-    species, digest, s["species"] = _load_species_arg(s["species"])
+    species = load_species(s["species"])
+    s["species"] = s["species"] or PACKAGED
 
     csv_path = os.path.join(outdir, f"{command}.csv")
     t0 = time.perf_counter()
@@ -426,7 +408,7 @@ def _run_command(args) -> int:
     # make_manifest writes str(value), which for a float is its repr
     config = {key: "default" if s[key] is None else s[key] for key, *_ in settings}
     config["command"] = command
-    manifest = make_manifest(digest, config, wall, status)
+    manifest = make_manifest(species.digest, config, wall, status)
     manifest.write(os.path.join(outdir, f"{command}.manifest.json"))
     print(summary)
     if manifest.n_errors:

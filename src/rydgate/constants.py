@@ -12,8 +12,9 @@ Conventions used throughout the package:
 
 Conversions between these scales happen once, at module boundaries.
 
-The defaults, the sweep axis table and the domain of every numeric setting
-live here too, so that ``rydgate --help`` and the usage checks need no
+The defaults, the sweep axis table and the domain of each numeric input
+(every setting and every species-file number) live here too, so that
+``rydgate --help``, the usage checks and the species loader need no
 numerical module; ``gate``, ``pair`` and ``sweeps`` re-export the defaults.
 
 The constants are the CODATA 2022 values, written out as literals: every
@@ -55,7 +56,7 @@ DEFAULT_LAMBDA_SW_UM = 1.25   # spin-wave wavelength, um
 DEFAULT_ETA_C = 0.9           # per-site coupling efficiency
 DEFAULT_D_FAR_FACTOR = 5.0    # non-adjacent pair separation, in units of d11
 DEFAULT_MAX_DELTA_N = 5       # principal-number search width of channel sums
-DEFAULT_MAX_L = 2             # orbital momentum cap of channel sums
+MAX_L = 2                     # orbital momentum cap of channel sums
 RESONANCE_THRESHOLD_HZ = 10e6  # |defect| below which a channel counts as resonant
 
 _RAD_S_TO_MHZ = 1.0 / (TWOPI * 1e6)
@@ -71,19 +72,21 @@ AXES = {
 }
 SWEEP_AXES = tuple(AXES)
 
-# setting -> (test of a finite value, what the value must be).  The domains
-# are scale-free, so one entry serves a command-line flag in display units
-# (MHz, uK; the entry is the flag's name less its unit suffix) and a
-# library field in internal units (rad/s, K).
+# numeric input -> (test of a finite value, what the value must be).  An
+# input is a setting or a species-file field.  The domains are scale-free,
+# so one entry serves a command-line flag in display units (MHz, uK; the
+# entry is the flag's name less its unit suffix) and a library field in
+# internal units (rad/s, K).
 _POSITIVE = (lambda v: v > 0, "positive")
 DOMAINS = {
     **dict.fromkeys(("omega_mu", "omega_c"), (_POSITIVE[0], "a positive Rabi frequency")),
     **dict.fromkeys(("omega", "omega_eit", "d11", "d_far", "d_um", "lambda_sw", "lambda_sw_um",
-                     "w0_um", "mass_kg", "c3_ghz_um3"), _POSITIVE),
+                     "w0_um", "mass_kg", "c3_ghz_um3", "tau_s_ns", "alpha"), _POSITIVE),
     **dict.fromkeys(("temperature", "radiation_temp", "bbr_temp", "bbr_temperature", "pulse_time",
-                     "q", "gamma_r", "gamma_rp", "gamma_p", "threshold", "max_delta_n", "max_l"),
-                    (lambda v: v >= 0, "non-negative")),
-    "c6_ghz_um6": (lambda v: True, "finite"),
+                     "q", "gamma_r", "gamma_rp", "gamma_p", "threshold", "max_delta_n", "delta0",
+                     "L"), (lambda v: v >= 0, "non-negative")),
+    **dict.fromkeys(("c6_ghz_um6", "rydberg_constant_hz", "ionization_reference_hz", "delta2",
+                     "J"), (lambda v: True, "finite")),
     "eta_c": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     # The level system is nS, (n+1)S and nP_1/2, and there is no 1P level.
     "n": (lambda v: v == int(v) and v >= 2, "an integer >= 2"),

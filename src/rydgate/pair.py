@@ -28,7 +28,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .angular import angular_block, angular_factor, exchange_singular_value, pair_m_states
-from .constants import C3_PREFACTOR_HZ_UM3, DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, check_domain
+from .constants import C3_PREFACTOR_HZ_UM3, DEFAULT_MAX_DELTA_N, MAX_L, check_domain
 from .constants import RESONANCE_THRESHOLD_HZ
 from .errors import ResonanceError, RydgateError
 from .levels import RydbergLevel
@@ -46,7 +46,7 @@ __all__ = [
     "c6_branches",
     "pair_hamiltonian_shift",
     "DEFAULT_MAX_DELTA_N",
-    "DEFAULT_MAX_L",
+    "MAX_L",
     "RESONANCE_THRESHOLD_HZ",
 ]
 
@@ -124,11 +124,11 @@ def c3_coefficient(
     return C3_PREFACTOR_HZ_UM3 * 1e-9 * radial * radial * sigma
 
 
-def _dipole_finals(level: RydbergLevel, max_delta_n: int, max_l: int) -> list[RydbergLevel]:
-    """Levels dipole-reachable from ``level`` within the n and L truncation."""
+def _dipole_finals(level: RydbergLevel, max_delta_n: int) -> list[RydbergLevel]:
+    """Levels dipole-reachable from ``level`` within the n and L (``MAX_L``) truncation."""
     out = []
     for l_f in (level.L - 1, level.L + 1):
-        if l_f < 0 or l_f > max_l:
+        if l_f < 0 or l_f > MAX_L:
             continue
         j_values = [l_f + 0.5] if l_f == 0 else [l_f - 0.5, l_f + 0.5]
         for n_f in range(level.n - max_delta_n, level.n + max_delta_n + 1):
@@ -147,7 +147,7 @@ def _orderings(
 
 
 def _coupled_finals(
-    a: RydbergLevel, b: RydbergLevel, M: float, max_delta_n: int, max_l: int
+    a: RydbergLevel, b: RydbergLevel, M: float, max_delta_n: int
 ) -> Iterator[tuple[RydbergLevel, RydbergLevel, float]]:
     """Yield (final_a, final_b, angular_factor) for each non-zero channel out of |a b>.
 
@@ -155,8 +155,8 @@ def _coupled_finals(
     class pair forms it once.
     """
     factors: dict[tuple, float] = {}
-    for final_a in _dipole_finals(a, max_delta_n, max_l):
-        for final_b in _dipole_finals(b, max_delta_n, max_l):
+    for final_a in _dipole_finals(a, max_delta_n):
+        for final_b in _dipole_finals(b, max_delta_n):
             key = (final_a.L, final_a.J, final_b.L, final_b.J)
             if key not in factors:
                 factors[key] = angular_factor(a, b, final_a, final_b, M)
@@ -173,7 +173,6 @@ def forster_channels(
     species: AtomSpecies,
     pair: PairState,
     max_delta_n: int = DEFAULT_MAX_DELTA_N,
-    max_l: int = DEFAULT_MAX_L,
 ) -> tuple[ForsterChannel, ...]:
     """Enumerate two-atom dipole channels out of ``pair``, strongest first.
 
@@ -181,7 +180,7 @@ def forster_channels(
     degeneracies rank first. Zero-coupling combinations are dropped.
     """
     check_domain("max_delta_n", max_delta_n)
-    finals = list(_coupled_finals(pair.a, pair.b, pair.M, max_delta_n, max_l))
+    finals = list(_coupled_finals(pair.a, pair.b, pair.M, max_delta_n))
     levels = dict.fromkeys([pair.a, pair.b] + [lv for fa, fb, _ in finals for lv in (fa, fb)])
     energy = {lv: level_energy(species, lv) for lv in levels}
     e_initial = energy[pair.a] + energy[pair.b]
@@ -217,7 +216,6 @@ def c6_coefficient(
     M: float = 0.0,
     *,
     max_delta_n: int = DEFAULT_MAX_DELTA_N,
-    max_l: int = DEFAULT_MAX_L,
 ) -> InteractionCoefficients:
     """Van der Waals coefficient from the second-order channel sum.
 
@@ -231,7 +229,7 @@ def c6_coefficient(
     ``RESONANCE_THRESHOLD_HZ``, where the perturbative sum is meaningless.
     """
     pair = PairState(level_a, level_b, M)
-    channels = forster_channels(species, pair, max_delta_n, max_l)
+    channels = forster_channels(species, pair, max_delta_n)
     worst = next((ch for ch in channels if abs(ch.defect_hz) < RESONANCE_THRESHOLD_HZ), None)
     if worst is not None:
         raise ResonanceError(
@@ -252,7 +250,6 @@ def c6_branches(
     M: float = 0.0,
     *,
     max_delta_n: int = DEFAULT_MAX_DELTA_N,
-    max_l: int = DEFAULT_MAX_L,
 ) -> tuple[float, ...]:
     """Van der Waals eigen-shifts of the initial pair manifold, GHz um^6.
 
@@ -279,7 +276,7 @@ def c6_branches(
     # final pair -> (defect in GHz, coupling rows x initial basis in GHz um^3)
     finals: dict[tuple, tuple[float, np.ndarray]] = {}
     for (a, b), start, stop in zip(orderings, starts, starts[1:]):
-        channels = c6_coefficient(species, a, b, M, max_delta_n=max_delta_n, max_l=max_l).channels
+        channels = c6_coefficient(species, a, b, M, max_delta_n=max_delta_n).channels
         radial = radial_matrix_elements(
             species, [p for ch in channels for p in ((a, ch.final.a), (b, ch.final.b))]
         )
@@ -298,7 +295,7 @@ def c6_branches(
 
 
 def _first_shell_manifolds(
-    pair: PairState, max_delta_n: int, max_l: int
+    pair: PairState, max_delta_n: int
 ) -> list[tuple[RydbergLevel, RydbergLevel]]:
     """Initial pair manifold(s) plus every dipole-connected pair, in first-seen order.
 
@@ -308,7 +305,7 @@ def _first_shell_manifolds(
     finals = [
         (fa, fb)
         for a, b in initial
-        for fa, fb, _ in _coupled_finals(a, b, pair.M, max_delta_n, max_l)
+        for fa, fb, _ in _coupled_finals(a, b, pair.M, max_delta_n)
     ]
     return list(dict.fromkeys(initial + finals))
 
@@ -394,7 +391,6 @@ def pair_hamiltonian_shift(
     *,
     branch: str = "auto",
     max_delta_n: int = DEFAULT_MAX_DELTA_N,
-    max_l: int = DEFAULT_MAX_L,
 ) -> float:
     """Interaction shift in Hz at separation d from direct diagonalisation.
 
@@ -424,7 +420,7 @@ def pair_hamiltonian_shift(
         resonant = exchange_singular_value(pair.a, pair.b, pair.M) != 0.0
         branch = "extremal" if resonant else "mean"
 
-    manifolds = _first_shell_manifolds(pair, max_delta_n, max_l)
+    manifolds = _first_shell_manifolds(pair, max_delta_n)
     n_initial = len(_orderings(pair.a, pair.b))
 
     hamiltonian, offsets = _pair_hamiltonian(species, pair, manifolds, d_um)

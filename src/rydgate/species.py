@@ -1,21 +1,26 @@
 """Atomic species data: quantum defects and lifetime scaling coefficients.
 
 A species is loaded from a line-oriented data file (see ``data/rb87.species``
-for the grammar and the shipped rubidium-87 dataset). Species objects are
-frozen and hashable so they can key memoised radial solutions.
+for the grammar and the shipped rubidium-87 dataset). Every number in it
+must lie in its ``constants.DOMAINS`` entry, as a command-line setting
+must. Species objects are frozen and hashable so they can key memoised
+radial solutions.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+import pathlib
+from dataclasses import dataclass, field
 from importlib import resources
 
-from .constants import RYDBERG_HZ_INF
+from .constants import RYDBERG_HZ_INF, check_domain
 from .errors import SpeciesDataError
 from .levels import valid_j
-from .textio import Document, parse_document_file, parse_float, parse_int
+from .textio import Document, parse_document
+
+PACKAGED = "packaged:rb87.species"  # the packaged file's name in messages and manifests
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,9 @@ class AtomSpecies:
     Energies derived from this object are ordinary frequencies in Hz.
     ``ionization_reference`` locates the series limit relative to the ground
     state and is carried for reporting; level energies themselves are
-    measured down from the ionization limit.
+    measured down from the ionization limit. ``digest`` is the SHA-256 of
+    the file the species was loaded from (empty for one built in code); it
+    takes no part in equality or hashing.
     """
 
     name: str
@@ -49,6 +56,7 @@ class AtomSpecies:
     ionization_reference: float   # Hz
     defects: tuple[DefectEntry, ...]
     lifetimes: tuple[LifetimeEntry, ...]
+    digest: str = field(default="", compare=False)
 
     def defect_coefficients(self, L: int, J: float) -> tuple[float, float]:
         """(delta0, delta2) for series (L, J).
@@ -75,77 +83,90 @@ class AtomSpecies:
         )
 
 
-def _species_from_document(doc: Document) -> AtomSpecies:
-    src = doc.source
-    name = doc.require_scalar("species", "name")
-    mass = float(doc.require_scalar("species", "mass_kg"))
-    rydberg = float(doc.require_scalar("species", "rydberg_constant_hz"))
-    ionization = float(doc.require_scalar("species", "ionization_reference_hz"))
+def _number(token: str, name: str, where: str):
+    """``token`` as the value of field ``name`` (an int for ``L``, else a
+    float) in its ``constants.DOMAINS`` entry; else SpeciesDataError at
+    ``where``, the file and the line where one exists."""
+    integer = name == "L"
+    try:
+        value = int(token) if integer else float(token)
+    except ValueError:
+        kind = "an integer" if integer else "a number"
+        raise SpeciesDataError(f"{where}: {name} is not {kind}: {token!r}") from None
+    try:
+        return check_domain(name, value)
+    except ValueError as exc:
+        raise SpeciesDataError(f"{where}: {exc}") from None
 
-    if mass <= 0.0:
-        raise SpeciesDataError(f"{src}: mass_kg must be positive")
+
+def _rows(doc: Document, section: str, names: tuple[str, ...]):
+    """Each data row of ``section`` as (its numbers, its file:line)."""
+    for tokens, lineno in doc.section_rows(section):
+        where = f"{doc.source}:{lineno}"
+        if len(tokens) != len(names):
+            raise SpeciesDataError(
+                f"{where}: {section[:-1]} rows need {len(names)} fields ({' '.join(names)})"
+            )
+        yield [_number(tok, name, where) for tok, name in zip(tokens, names)], where
+
+
+def _species_from_document(doc: Document, digest: str) -> AtomSpecies:
+    src = doc.source
+    mass, rydberg, ionization = (
+        _number(doc.require_scalar("species", key), key, src)
+        for key in ("mass_kg", "rydberg_constant_hz", "ionization_reference_hz")
+    )
     if abs(rydberg - RYDBERG_HZ_INF) > 1e-3 * RYDBERG_HZ_INF:
         raise SpeciesDataError(
             f"{src}: rydberg_constant_hz {rydberg!r} deviates more than 0.1% "
             f"from the infinite-mass value {RYDBERG_HZ_INF:.6e}"
         )
 
-    defects = []
-    seen = set()
-    for tokens, lineno in doc.section_rows("defects"):
-        if len(tokens) != 4:
-            raise SpeciesDataError(
-                f"{src}:{lineno}: defect rows need 4 fields (L J delta0 delta2)"
-            )
-        L = parse_int(tokens[0], src, lineno, "L")
-        J = parse_float(tokens[1], src, lineno, "J")
-        d0 = parse_float(tokens[2], src, lineno, "delta0")
-        d2 = parse_float(tokens[3], src, lineno, "delta2")
-        if L < 0:
-            raise SpeciesDataError(f"{src}:{lineno}: L must be non-negative")
+    defects = {}
+    for (L, J, d0, d2), where in _rows(doc, "defects", ("L", "J", "delta0", "delta2")):
         if not valid_j(L, J):
-            raise SpeciesDataError(f"{src}:{lineno}: J={J} is not L +/- 1/2 and positive for L={L}")
-        if d0 < 0.0:
-            raise SpeciesDataError(f"{src}:{lineno}: delta0 must be >= 0")
-        if (L, J) in seen:
-            raise SpeciesDataError(f"{src}:{lineno}: duplicate defect entry L={L} J={J}")
-        seen.add((L, J))
-        defects.append(DefectEntry(L, J, d0, d2))
+            raise SpeciesDataError(f"{where}: J={J} is not L +/- 1/2 and positive for L={L}")
+        if (L, J) in defects:
+            raise SpeciesDataError(f"{where}: duplicate defect entry L={L} J={J}")
+        defects[L, J] = DefectEntry(L, J, d0, d2)
     if not defects:
         raise SpeciesDataError(f"{src}: no [defects] rows")
 
-    lifetimes = []
-    seen_l = set()
-    for tokens, lineno in doc.section_rows("lifetimes"):
-        if len(tokens) != 3:
-            raise SpeciesDataError(
-                f"{src}:{lineno}: lifetime rows need 3 fields (L tau_s_ns alpha)"
-            )
-        L = parse_int(tokens[0], src, lineno, "L")
-        tau_s = parse_float(tokens[1], src, lineno, "tau_s_ns")
-        alpha = parse_float(tokens[2], src, lineno, "alpha")
-        if tau_s <= 0.0:
-            raise SpeciesDataError(f"{src}:{lineno}: tau_s_ns must be positive")
-        if alpha <= 0.0:
-            raise SpeciesDataError(f"{src}:{lineno}: alpha must be positive")
-        if L in seen_l:
-            raise SpeciesDataError(f"{src}:{lineno}: duplicate lifetime entry L={L}")
-        seen_l.add(L)
-        lifetimes.append(LifetimeEntry(L, tau_s, alpha))
+    lifetimes = {}
+    for (L, tau_s, alpha), where in _rows(doc, "lifetimes", ("L", "tau_s_ns", "alpha")):
+        if L in lifetimes:
+            raise SpeciesDataError(f"{where}: duplicate lifetime entry L={L}")
+        lifetimes[L] = LifetimeEntry(L, tau_s, alpha)
 
     return AtomSpecies(
-        name=name,
+        name=doc.require_scalar("species", "name"),
         mass=mass,
         rydberg_constant=rydberg,
         ionization_reference=ionization,
-        defects=tuple(defects),
-        lifetimes=tuple(lifetimes),
+        defects=tuple(defects.values()),
+        lifetimes=tuple(lifetimes.values()),
+        digest=digest,
     )
 
 
-def load_species(path) -> AtomSpecies:
-    """Load a species data file, validating tables and reporting line numbers."""
-    return _species_from_document(parse_document_file(path))
+def load_species(path=None) -> AtomSpecies:
+    """The species of the data file at ``path`` (default: the packaged
+    rubidium-87 dataset), its ``digest`` set from the one read of its bytes.
+
+    Raises SpeciesDataError, naming the file and, where one exists, the
+    line, when the file is unreadable or malformed or a number lies outside
+    its domain.
+    """
+    if path is None:
+        file, source = resources.files("rydgate.data").joinpath("rb87.species"), PACKAGED
+    else:
+        file, source = pathlib.Path(path), str(path)
+    try:
+        data = file.read_bytes()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpeciesDataError(f"cannot read {source}: {exc}") from None
+    return _species_from_document(parse_document(text, source), species_digest(data))
 
 
 def species_digest(data: bytes) -> str:
@@ -155,8 +176,5 @@ def species_digest(data: bytes) -> str:
 
 @functools.lru_cache(maxsize=None)
 def rb87() -> AtomSpecies:
-    """The packaged rubidium-87 dataset."""
-    with resources.as_file(
-        resources.files("rydgate.data").joinpath("rb87.species")
-    ) as path:
-        return load_species(path)
+    """The packaged rubidium-87 dataset, loaded once."""
+    return load_species()

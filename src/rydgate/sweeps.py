@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .averaging import averaged_fidelity, optimize_d11
-from .constants import AXES, DEFAULT_MAX_DELTA_N, DEFAULT_MAX_L, SWEEP_AXES, check_axis_values
+from .constants import AXES, DEFAULT_MAX_DELTA_N, SWEEP_AXES, check_axis_values
 from .errors import ResonanceError, RydgateError
 from .gate import GateParams
 from .lengthscales import _level_system, figure_of_merit, radii_point
@@ -241,13 +241,11 @@ def merit_rows(species: AtomSpecies, n_values, temperature: float, workers: int 
 
 
 def _forster_row(args):
-    species, n, threshold_hz, max_delta_n, max_l = args
+    species, n, threshold_hz, max_delta_n = args
     control, target, _ = _level_system(n)
     pair = PairState(control, target)
     try:
-        channels = forster_channels(
-            species, pair, max_delta_n=max_delta_n, max_l=max_l
-        )
+        channels = forster_channels(species, pair, max_delta_n=max_delta_n)
     except RydgateError as exc:
         return _error_status(exc), []
     initial = [n, pair.a.label, pair.b.label]
@@ -263,11 +261,10 @@ def forster_rows(
     n_values,
     threshold_hz: float,
     max_delta_n: int = DEFAULT_MAX_DELTA_N,
-    max_l: int = DEFAULT_MAX_L,
     workers: int = 1,
 ):
     """Near-resonant channels across a range of n, sorted by |defect|."""
-    payloads = [(species, n, threshold_hz, max_delta_n, max_l) for n in n_values]
+    payloads = [(species, n, threshold_hz, max_delta_n) for n in n_values]
     header, rows, status = _run_rows(FORSTER_COLUMNS, _forster_row, payloads, workers)
     rows.sort(key=lambda r: (abs(r[5]), r[0], r[3], r[4]))
     return header, rows, status

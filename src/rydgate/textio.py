@@ -5,7 +5,8 @@ Grammar (shared by species files and config files; run manifests are JSON):
 * blank lines and ``# comment`` lines are ignored; a ``#`` also starts a
   trailing comment on any line,
 * ``[section]`` opens a named section,
-* ``key = value`` assigns a scalar inside the current section,
+* ``key = value`` assigns a scalar inside the current section; a key
+  assigned twice in one section is an error,
 * any other non-empty line is a whitespace-separated data row belonging to
   the current section.
 
@@ -66,7 +67,10 @@ def parse_document(text: str, source: str = "<string>") -> Document:
                 raise SpeciesDataError(
                     f"{source}:{lineno}: malformed assignment {raw.strip()!r}"
                 )
-            doc.scalars.setdefault(section, {})[key] = value
+            scalars = doc.scalars.setdefault(section, {})
+            if key in scalars:
+                raise SpeciesDataError(f"{source}:{lineno}: duplicate key {key!r} in [{section}]")
+            scalars[key] = value
             continue
         doc.rows.setdefault(section, []).append((line.split(), lineno))
     return doc
@@ -76,27 +80,9 @@ def parse_document_file(path) -> Document:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpeciesDataError(f"cannot read {path}: {exc}") from exc
     return parse_document(text, source=str(path))
-
-
-def parse_float(token: str, source: str, lineno: int, what: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise SpeciesDataError(
-            f"{source}:{lineno}: {what} is not a number: {token!r}"
-        ) from None
-
-
-def parse_int(token: str, source: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise SpeciesDataError(
-            f"{source}:{lineno}: {what} is not an integer: {token!r}"
-        ) from None
 
 
 # 12 significant digits, scientific; the one float format every CSV uses.

@@ -6,6 +6,7 @@ the byte-level reproducibility of CSV output across worker counts.
 
 import csv
 import json
+from importlib import resources
 
 import pytest
 
@@ -229,7 +230,7 @@ def test_forster_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
         ("merit", "--radiation-temp-k", "-5"),
         ("forster", "--threshold-mhz", "-2"),
         ("forster", "--n", "70", "--max-delta-n", "-1"),
-        ("forster", "--n", "70", "--max-l", "-1"),
+        ("radii", "--n", "70", "--config", "nan.cfg/missing.cfg"),
         ("radii", "--n", "70", "--workers", "0"),
         ("radii", "--n", "70", "--omega-mhz", "nan"),
         ("radii", "--n", "70", "--omega-mhz", "inf"),
@@ -252,7 +253,8 @@ def test_forster_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv):
     # nan.cfg names a config file in tmp_path with a non-finite value; as a
-    # regular file it also makes nan.cfg/sub an --out that cannot be created.
+    # regular file it also makes nan.cfg/sub an --out that cannot be created
+    # and nan.cfg/missing.cfg a config file that cannot be read.
     # An input's own --out follows the default one, so it wins.
     (tmp_path / "nan.cfg").write_text("[merit]\nradiation_temp_k = nan\n")
     argv = [str(tmp_path / a) if a.startswith("nan.cfg") else a for a in argv]
@@ -280,7 +282,7 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv):
         ("merit", "--radiation-temp-k", "-5"),
         ("forster", "--threshold-mhz", "-2"),
         ("forster", "--max-delta-n", "-1"),
-        ("forster", "--max-l", "-1"),
+        ("forster", "--n", "1"),
     ],
 )
 def test_usage_error_names_its_flag(tmp_path, capsys, argv):
@@ -308,6 +310,35 @@ def test_missing_species_file_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "cannot read" in capsys.readouterr().err
+
+
+RB87 = resources.files("rydgate.data").joinpath("rb87.species").read_text()
+
+
+@pytest.mark.parametrize(
+    "command, line, bad, field",
+    [
+        ("radii", "mass_kg = 1.44316090e-25", "mass_kg = abc", "mass_kg"),
+        ("fidelity", "mass_kg = 1.44316090e-25", "mass_kg = nan", "mass_kg"),
+        ("radii", "rydberg_constant_hz = 3.2898211940e15", "rydberg_constant_hz = nan",
+         "rydberg_constant_hz"),
+        ("radii", "0   1.368    3.0008", "0   inf    3.0008", "tau_s_ns"),
+        ("radii", "2   1.0761   2.9898", "-1  1.0761   2.9898", "L"),
+        ("radii", "name = Rb87", "name = Rb87\nname = Rb", "name"),
+    ],
+    ids=["mass-not-a-number", "mass-nan", "rydberg-nan", "tau-inf", "negative-l",
+         "duplicate-key"],
+)
+def test_bad_species_file_exits_3_naming_file_and_field(tmp_path, capsys, command, line, bad,
+                                                         field):
+    species = tmp_path / "bad.species"
+    assert line in RB87
+    species.write_text(RB87.replace(line, bad))
+    argv = ["--n", "70"] if command == "radii" else ["--values", "1"]
+    assert _run(command, *argv, "--species", str(species), "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert str(species) in err and field in err, err
+    assert not (tmp_path / f"{command}.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +371,7 @@ def test_config_sections_of_other_commands_are_read_by_them_only(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(
         "[common]\nthreshold_mhz = 5\n"  # forster's, so radii leaves it be
-        "[radii]\nn = 70:70\n[fidelity]\nq = 0.3\n[forster]\nmax_l = 1\n"
+        "[radii]\nn = 70:70\n[fidelity]\nq = 0.3\n[forster]\nmax_delta_n = 1\n"
     )
     assert _run("radii", "--config", str(config), "--out", str(tmp_path)) == 0
     manifest = json.loads((tmp_path / "radii.manifest.json").read_text())
@@ -358,9 +389,11 @@ def test_config_sections_of_other_commands_are_read_by_them_only(tmp_path):
         ("[radi]\nomega_mhz = 5\n", ("[radi]",)),
         ("omega_mhz = 5\n", ("[]",)),
         ("[radii]\n70 72\n", ("[radii]", ":2:")),
+        ("[radii]\nomega_mhz =\n", (":2:", "malformed")),
+        ("[radii]\nomega_mhz = 2\nomega_mhz = 3\n", (":3:", "duplicate", "'omega_mhz'")),
     ],
     ids=["key", "other-command-key", "other-section-key", "common-key", "config-key",
-         "section", "no-section", "data-row"],
+         "section", "no-section", "data-row", "malformed-line", "duplicate-key"],
 )
 def test_config_typos_exit_2(tmp_path, capsys, text, named):
     config = tmp_path / "run.cfg"

@@ -20,7 +20,6 @@ from rydgate.angular import angular_block, angular_factor, pair_m_states
 from rydgate.errors import ResonanceError, RydgateError
 from rydgate.levels import RydbergLevel, p_level, s_level
 from rydgate.pair import (
-    DEFAULT_MAX_L,
     PairState,
     _first_shell_manifolds,
     _pair_hamiltonian,
@@ -334,7 +333,7 @@ def _pair_hamiltonian_loop(species, pair, manifolds, d_um):
 )
 def test_pair_hamiltonian_matches_per_pair_loop(species, a, b, M, max_delta_n):
     pair = PairState(a, b, M)
-    manifolds = _first_shell_manifolds(pair, max_delta_n, DEFAULT_MAX_L)
+    manifolds = _first_shell_manifolds(pair, max_delta_n)
     hamiltonian, _ = _pair_hamiltonian(species, pair, manifolds, 20.0)
     assert np.array_equal(hamiltonian, _pair_hamiltonian_loop(species, pair, manifolds, 20.0))
 

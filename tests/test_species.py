@@ -1,10 +1,13 @@
 """Species data loading and validation."""
 
+import re
+from importlib import resources
+
 import pytest
 
 from rydgate.constants import RYDBERG_HZ_INF
 from rydgate.errors import SpeciesDataError
-from rydgate.species import load_species, rb87
+from rydgate.species import load_species, rb87, species_digest
 
 MINIMAL = f"""
 [species]
@@ -72,6 +75,15 @@ def test_minimal_file_loads(tmp_path):
     assert sp.lifetime_scaling(1) == (2.76, 3.0)
 
 
+def test_unreadable_file(tmp_path):
+    with pytest.raises(SpeciesDataError, match="cannot read"):
+        load_species(tmp_path / "nope.species")
+    path = tmp_path / "latin1.species"
+    path.write_bytes(MINIMAL.replace("name = test", "name = M\xfcller").encode("latin-1"))
+    with pytest.raises(SpeciesDataError, match="cannot read"):
+        load_species(path)
+
+
 def test_missing_required_key(tmp_path):
     text = MINIMAL.replace("mass_kg = 1.4e-25\n", "")
     with pytest.raises(SpeciesDataError, match="mass_kg"):
@@ -123,3 +135,42 @@ def test_nonpositive_lifetime_coefficient(tmp_path):
 
 def test_rb87_cached_instance():
     assert rb87() is rb87()
+
+
+def test_digest_is_of_the_bytes_loaded(tmp_path):
+    path = tmp_path / "s.species"
+    path.write_text(MINIMAL)
+    sp = load_species(path)
+    assert sp.digest == species_digest(path.read_bytes())
+    packaged = resources.files("rydgate.data").joinpath("rb87.species").read_bytes()
+    assert rb87().digest == species_digest(packaged)
+    # A comment changes the bytes, not the species: the digest takes no
+    # part in equality or hashing.
+    other = tmp_path / "t.species"
+    other.write_text(MINIMAL + "# a comment\n")
+    twin = load_species(other)
+    assert twin.digest != sp.digest and twin == sp and hash(twin) == hash(sp)
+
+
+def test_number_errors_carry_file_line_and_field(tmp_path):
+    path = tmp_path / "s.species"
+    with pytest.raises(SpeciesDataError, match=re.escape(f"{path}:9: delta0 is not a number")):
+        write_and_load(tmp_path, MINIMAL.replace("0 0.5 3.13 0.18", "0 0.5 abc 0.18"))
+    with pytest.raises(SpeciesDataError, match=re.escape(f"{path}:10: L is not an integer")):
+        write_and_load(tmp_path, MINIMAL.replace("1 0.5 2.65 0.29", "1.5 0.5 2.65 0.29"))
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("mass_kg = 1.4e-25", "mass_kg = 0", "mass_kg"),
+        ("ionization_reference_hz = 1.0e15", "ionization_reference_hz = inf",
+         "ionization_reference_hz"),
+        ("0 0.5 3.13 0.18", "0 0.5 -3.13 0.18", "delta0"),
+        ("0 0.5 3.13 0.18", "0 0.5 3.13 nan", "delta2"),
+        ("1 2.76 3.0", "1 2.76 0", "alpha"),
+    ],
+)
+def test_numbers_outside_their_domain(tmp_path, old, new, field):
+    with pytest.raises(SpeciesDataError, match=f"{field} must be"):
+        write_and_load(tmp_path, MINIMAL.replace(old, new))

@@ -5,14 +5,7 @@ import csv
 import pytest
 
 from rydgate.errors import SpeciesDataError
-from rydgate.textio import (
-    format_float,
-    parse_document,
-    parse_document_file,
-    parse_float,
-    parse_int,
-    write_csv,
-)
+from rydgate.textio import format_float, parse_document, parse_document_file, write_csv
 
 SAMPLE = """
 # leading comment
@@ -65,15 +58,17 @@ def test_malformed_assignment_reports_line():
 def test_missing_file_is_a_data_error(tmp_path):
     with pytest.raises(SpeciesDataError, match="cannot read"):
         parse_document_file(tmp_path / "nope.species")
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"[radii]\nname = M\xfcller\n")
+    with pytest.raises(SpeciesDataError, match="cannot read"):
+        parse_document_file(latin1)
 
 
-def test_token_parsers_carry_location():
-    with pytest.raises(SpeciesDataError, match="f:3.*delta0"):
-        parse_float("abc", "f", 3, "delta0")
-    with pytest.raises(SpeciesDataError, match="f:4.*L"):
-        parse_int("1.5", "f", 4, "L")
-    assert parse_float("2.5e-3", "f", 1, "x") == 2.5e-3
-    assert parse_int("-7", "f", 1, "n") == -7
+def test_duplicate_key_reports_the_second_line():
+    # The same key in another section is no duplicate; a reopened section is the same one.
+    assert parse_document("[a]\nx = 1\n[b]\nx = 2\n").section_scalars("b") == {"x": "2"}
+    with pytest.raises(SpeciesDataError, match=r"f:6: duplicate key 'x' in \[a\]"):
+        parse_document("[a]\nx = 1\n[b]\nx = 2\n[a]\nx = 3\n", source="f")
 
 
 def test_format_float_is_12_significant_digits():
