@@ -27,6 +27,7 @@ unreadable, malformed or outside its domain.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -353,7 +354,9 @@ def _read_config(path, command: str) -> dict:
             raise UsageError(f"config {doc.source}: unknown section [{section}]")
         for key in doc.section_scalars(section):
             if key not in known[section]:
-                raise UsageError(f"config {doc.source}: [{section}] has no setting {key!r}")
+                raise UsageError(
+                    f"config {doc.where(section, key)}: [{section}] has no setting {key!r}"
+                )
         for _, lineno in doc.section_rows(section):
             raise UsageError(f"config {doc.source}:{lineno}: data row in [{section}]")
     return {**doc.section_scalars("common"), **doc.section_scalars(command)}
@@ -383,17 +386,28 @@ def _run_command(args) -> int:
     _, settings, run = _COMMANDS[command]
     settings = _COMMON + settings
     s = _resolve_settings(args, settings)
+    species = load_species(s["species"])
+    s["species"] = s["species"] or PACKAGED
     outdir = s["out"] = s["out"] or "."
+    new_dirs = []  # the directories this run creates, deepest first
+    path = os.path.normpath(outdir)
+    while path and not os.path.exists(path):
+        new_dirs.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create output directory {outdir}: {exc.strerror}") from None
-    species = load_species(s["species"])
-    s["species"] = s["species"] or PACKAGED
 
     csv_path = os.path.join(outdir, f"{command}.csv")
     t0 = time.perf_counter()
-    (header, table, status), plot, summary = run(s, species, csv_path)
+    try:
+        (header, table, status), plot, summary = run(s, species, csv_path)
+    except (UsageError, SpeciesDataError):
+        for path in new_dirs:  # a failed run leaves no --out behind
+            with contextlib.suppress(OSError):
+                os.rmdir(path)  # removes only an empty directory
+        raise
     wall = time.perf_counter() - t0
 
     write_csv(csv_path, header, table)
@@ -404,11 +418,12 @@ def _run_command(args) -> int:
             for i, label, dashed in plot.pop("columns")
         ]
         render_plot(os.path.join(outdir, f"{command}.svg"), series, **plot)
-    from .sweeps import make_manifest
-    # make_manifest writes str(value), which for a float is its repr
-    config = {key: "default" if s[key] is None else s[key] for key, *_ in settings}
+    from . import __version__
+    from .sweeps import RunManifest
+    # str of a float is its repr
+    config = {key: "default" if s[key] is None else str(s[key]) for key, *_ in settings}
     config["command"] = command
-    manifest = make_manifest(species.digest, config, wall, status)
+    manifest = RunManifest(__version__, species.digest, config, wall, tuple(status))
     manifest.write(os.path.join(outdir, f"{command}.manifest.json"))
     print(summary)
     if manifest.n_errors:

@@ -31,7 +31,7 @@ from .angular import angular_block, angular_factor, exchange_singular_value, pai
 from .constants import C3_PREFACTOR_HZ_UM3, DEFAULT_MAX_DELTA_N, MAX_L, check_domain
 from .constants import RESONANCE_THRESHOLD_HZ
 from .errors import ResonanceError, RydgateError
-from .levels import RydbergLevel
+from .levels import RydbergLevel, valid_j
 from .qdt import level_energy, radial_matrix_element, radial_matrix_elements
 from .species import AtomSpecies
 
@@ -130,7 +130,7 @@ def _dipole_finals(level: RydbergLevel, max_delta_n: int) -> list[RydbergLevel]:
     for l_f in (level.L - 1, level.L + 1):
         if l_f < 0 or l_f > MAX_L:
             continue
-        j_values = [l_f + 0.5] if l_f == 0 else [l_f - 0.5, l_f + 0.5]
+        j_values = [j for j in (l_f - 0.5, l_f + 0.5) if valid_j(l_f, j)]
         for n_f in range(level.n - max_delta_n, level.n + max_delta_n + 1):
             if n_f < 1 or l_f >= n_f:
                 continue

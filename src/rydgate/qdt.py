@@ -280,58 +280,30 @@ def radial_wavefunction(species: AtomSpecies, level: RydbergLevel) -> RadialSolu
 
 
 _CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+# Matrix elements, one plain table per (species, grid points), keyed by level
+# pairs as (n, L, J, n, L, J) tuples, which hash far faster than the level and
+# species records. Unbounded: each entry is one float, and the largest
+# command (forster over n = 30..100) holds 2,448 of them.
+_element_tables: dict[tuple, dict[tuple, float]] = {}
+_element_counts = collections.Counter()
 
 
-def _element_cache(maxsize: int) -> types.SimpleNamespace:
-    """LRU tables of matrix elements, one per (species, grid points), filled a
-    request at a time.
-
-    Keys are level pairs as (n, L, J, n, L, J) tuples, which hash far faster
-    than the level and species records. ``take(species, points, keys)``
-    returns the cached values and the missing keys in first-seen order;
-    ``put(species, points, values)`` stores a solved request. Hits and misses
-    count as lru_cache would for the same keys looked up one by one, so a
-    repeat of a missing key is a hit. Built from closures, not as a class:
-    perfbench finds caches as module values with a callable
-    ``cache_clear``, which a class would have too.
-    """
-    tables: dict[tuple, collections.OrderedDict] = {}
-    counts = collections.Counter()
-
-    def take(species, points, keys):
-        table = tables.setdefault((species, points), collections.OrderedDict())
-        found, missing = {}, {}
-        for key in keys:
-            if key in table:
-                table.move_to_end(key)
-                found[key] = table[key]
-            elif key not in missing:
-                missing[key] = None
-                counts["misses"] += 1
-                continue
-            counts["hits"] += 1
-        return found, list(missing)
-
-    def put(species, points, values):
-        table = tables[species, points]
-        table.update(values)
-        while len(table) > maxsize:
-            table.popitem(last=False)
-
-    def cache_info():
-        size = sum(len(table) for table in tables.values())
-        return _CacheInfo(counts["hits"], counts["misses"], maxsize, size)
-
-    def cache_clear():
-        tables.clear()
-        counts.clear()
-
-    return types.SimpleNamespace(
-        take=take, put=put, cache_info=cache_info, cache_clear=cache_clear
-    )
+def _element_cache_clear() -> None:
+    _element_tables.clear()
+    _element_counts.clear()
 
 
-_matrix_element_cached = _element_cache(maxsize=65536)
+# lru_cache's accounting for the tables; not a class, since perfbench finds
+# caches as module values with a callable ``cache_clear``.
+_matrix_element_cached = types.SimpleNamespace(
+    cache_info=lambda: _CacheInfo(
+        _element_counts["hits"],
+        _element_counts["misses"],
+        None,
+        sum(len(table) for table in _element_tables.values()),
+    ),
+    cache_clear=_element_cache_clear,
+)
 
 
 def _solve_elements(
@@ -389,13 +361,16 @@ def radial_matrix_elements(
         # The lower level first, as RydbergLevel orders them.
         a, b = (level_a.n, level_a.L, level_a.J), (level_b.n, level_b.L, level_b.J)
         keys.append(b + a if b < a else a + b)
-    found, missing = _matrix_element_cached.take(species, GRID_POINTS, keys)
+    table = _element_tables.setdefault((species, GRID_POINTS), {})
+    # Counted as lru_cache counts the keys looked up one by one: a repeat of
+    # a missing key is a hit.
+    missing = dict.fromkeys(key for key in keys if key not in table)
+    _element_counts["misses"] += len(missing)
+    _element_counts["hits"] += len(keys) - len(missing)
     if missing:
         levels = [(RydbergLevel(*key[:3]), RydbergLevel(*key[3:])) for key in missing]
-        solved = dict(zip(missing, _solve_elements(species, levels, GRID_POINTS)))
-        _matrix_element_cached.put(species, GRID_POINTS, solved)
-        found.update(solved)
-    return [found[key] for key in keys]
+        table.update(zip(missing, _solve_elements(species, levels, GRID_POINTS)))
+    return [table[key] for key in keys]
 
 
 def radial_matrix_element(

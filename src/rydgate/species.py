@@ -111,14 +111,14 @@ def _rows(doc: Document, section: str, names: tuple[str, ...]):
 
 
 def _species_from_document(doc: Document, digest: str) -> AtomSpecies:
-    src = doc.source
     mass, rydberg, ionization = (
-        _number(doc.require_scalar("species", key), key, src)
+        _number(doc.require_scalar("species", key), key, doc.where("species", key))
         for key in ("mass_kg", "rydberg_constant_hz", "ionization_reference_hz")
     )
     if abs(rydberg - RYDBERG_HZ_INF) > 1e-3 * RYDBERG_HZ_INF:
         raise SpeciesDataError(
-            f"{src}: rydberg_constant_hz {rydberg!r} deviates more than 0.1% "
+            f"{doc.where('species', 'rydberg_constant_hz')}: rydberg_constant_hz "
+            f"{rydberg!r} deviates more than 0.1% "
             f"from the infinite-mass value {RYDBERG_HZ_INF:.6e}"
         )
 
@@ -130,7 +130,7 @@ def _species_from_document(doc: Document, digest: str) -> AtomSpecies:
             raise SpeciesDataError(f"{where}: duplicate defect entry L={L} J={J}")
         defects[L, J] = DefectEntry(L, J, d0, d2)
     if not defects:
-        raise SpeciesDataError(f"{src}: no [defects] rows")
+        raise SpeciesDataError(f"{doc.source}: no [defects] rows")
 
     lifetimes = {}
     for (L, tau_s, alpha), where in _rows(doc, "lifetimes", ("L", "tau_s_ns", "alpha")):

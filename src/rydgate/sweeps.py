@@ -21,14 +21,13 @@ import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 
-from . import __version__
 from .averaging import averaged_fidelity, optimize_d11
 from .constants import AXES, DEFAULT_MAX_DELTA_N, SWEEP_AXES, check_axis_values
 from .errors import ResonanceError, RydgateError
 from .gate import GateParams
 from .lengthscales import _level_system, figure_of_merit, radii_point
 from .pair import PairState, forster_channels
-from .species import AtomSpecies, species_digest
+from .species import AtomSpecies
 
 __all__ = [
     "AXES",
@@ -95,7 +94,7 @@ class RunManifest:
 
     tool_version: str
     species_digest: str
-    config: tuple[tuple[str, str], ...]
+    config: dict[str, str]
     wall_clock_s: float
     row_status: tuple[str, ...]
 
@@ -103,7 +102,7 @@ class RunManifest:
         payload = {
             "tool_version": self.tool_version,
             "species_sha256": self.species_digest,
-            "config": {k: v for k, v in self.config},
+            "config": self.config,
             "wall_clock_s": self.wall_clock_s,
             "rows": list(self.row_status),
         }
@@ -114,19 +113,6 @@ class RunManifest:
     @property
     def n_errors(self) -> int:
         return sum(1 for s in self.row_status if s.startswith("error"))
-
-
-def make_manifest(
-    digest: str, config: dict, wall_clock_s: float, row_status
-) -> RunManifest:
-    cfg = tuple(sorted((str(k), str(v)) for k, v in config.items()))
-    return RunManifest(
-        tool_version=__version__,
-        species_digest=digest,
-        config=cfg,
-        wall_clock_s=float(wall_clock_s),
-        row_status=tuple(row_status),
-    )
 
 
 def _error_status(exc: RydgateError) -> str:

@@ -22,11 +22,17 @@ from .errors import SpeciesDataError
 
 @dataclass
 class Document:
-    """Parsed key-value document: per-section scalars and data rows."""
+    """Parsed key-value document: per-section scalars and data rows, with
+    the line of each scalar and row."""
 
     scalars: dict[str, dict[str, str]] = field(default_factory=dict)
     rows: dict[str, list[tuple[list[str], int]]] = field(default_factory=dict)
     source: str = "<string>"
+    scalar_lines: dict[tuple[str, str], int] = field(default_factory=dict)
+
+    def where(self, section: str, key: str) -> str:
+        """``file:line`` of a scalar, as parse errors name it."""
+        return f"{self.source}:{self.scalar_lines[section, key]}"
 
     def section_scalars(self, section: str) -> dict[str, str]:
         return self.scalars.get(section, {})
@@ -67,10 +73,10 @@ def parse_document(text: str, source: str = "<string>") -> Document:
                 raise SpeciesDataError(
                     f"{source}:{lineno}: malformed assignment {raw.strip()!r}"
                 )
-            scalars = doc.scalars.setdefault(section, {})
-            if key in scalars:
+            if (section, key) in doc.scalar_lines:
                 raise SpeciesDataError(f"{source}:{lineno}: duplicate key {key!r} in [{section}]")
-            scalars[key] = value
+            doc.scalars.setdefault(section, {})[key] = value
+            doc.scalar_lines[section, key] = lineno
             continue
         doc.rows.setdefault(section, []).append((line.split(), lineno))
     return doc

@@ -341,6 +341,26 @@ def test_bad_species_file_exits_3_naming_file_and_field(tmp_path, capsys, comman
     assert not (tmp_path / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("radii", "--n", "70", "--species", "nan.species"), 3),
+        (("radii", "--n", "100:30"), 2),
+        (("fidelity", "--values", "3,1,2"), 2),
+        (("fidelity", "--d11", "bogus"), 2),
+    ],
+    ids=["species-nan", "n-range", "values", "d11"],
+)
+def test_failed_run_creates_no_out_directory(tmp_path, capsys, argv, code):
+    (tmp_path / "nan.species").write_text(RB87.replace("mass_kg = 1.44316090e-25",
+                                                       "mass_kg = nan"))
+    argv = [str(tmp_path / a) if a == "nan.species" else a for a in argv]
+    out = tmp_path / "fresh" / "sub"
+    assert _run(*argv, "--out", str(out)) == code
+    assert "rydgate" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -382,6 +402,7 @@ def test_config_sections_of_other_commands_are_read_by_them_only(tmp_path):
     "text, named",
     [
         ("[radii]\nomega = 5\n", ("[radii]", "'omega'")),
+        ("[radii]\nn = 70\n\nomega = 5\n", ("run.cfg:4: [radii] has no setting 'omega'",)),
         ("[radii]\nthreshold_mhz = 5\n", ("[radii]", "'threshold_mhz'")),
         ("[fidelity]\nomega_mhz = 5\n", ("[fidelity]", "'omega_mhz'")),
         ("[common]\nomega = 5\n", ("[common]", "'omega'")),
@@ -392,7 +413,7 @@ def test_config_sections_of_other_commands_are_read_by_them_only(tmp_path):
         ("[radii]\nomega_mhz =\n", (":2:", "malformed")),
         ("[radii]\nomega_mhz = 2\nomega_mhz = 3\n", (":3:", "duplicate", "'omega_mhz'")),
     ],
-    ids=["key", "other-command-key", "other-section-key", "common-key", "config-key",
+    ids=["key", "key-line", "other-command-key", "other-section-key", "common-key", "config-key",
          "section", "no-section", "data-row", "malformed-line", "duplicate-key"],
 )
 def test_config_typos_exit_2(tmp_path, capsys, text, named):

@@ -160,6 +160,16 @@ def test_number_errors_carry_file_line_and_field(tmp_path):
         write_and_load(tmp_path, MINIMAL.replace("1 0.5 2.65 0.29", "1.5 0.5 2.65 0.29"))
 
 
+def test_scalar_errors_carry_file_and_line(tmp_path):
+    path = tmp_path / "s.species"
+    with pytest.raises(SpeciesDataError,
+                       match=re.escape(f"{path}:4: mass_kg must be finite, got nan")):
+        write_and_load(tmp_path, MINIMAL.replace("mass_kg = 1.4e-25", "mass_kg = nan"))
+    rydberg = f"rydberg_constant_hz = {RYDBERG_HZ_INF:.6e}"
+    with pytest.raises(SpeciesDataError, match=re.escape(f"{path}:5: rydberg_constant_hz")):
+        write_and_load(tmp_path, MINIMAL.replace(rydberg, "rydberg_constant_hz = 3.0e15"))
+
+
 @pytest.mark.parametrize(
     "old, new, field",
     [

@@ -22,12 +22,11 @@ from rydgate.sweeps import (
     SweepSpec,
     fidelity_sweep,
     forster_rows,
-    make_manifest,
     merit_rows,
     radii_rows,
     run_indexed,
-    species_digest,
 )
+from rydgate.species import species_digest
 
 
 def _fixed_params(species, **overrides):
@@ -75,17 +74,18 @@ def test_sweep_spec_validation(species):
 # manifest
 
 def test_manifest_round_trip(tmp_path):
-    manifest = make_manifest(
-        "deadbeef",
-        {"command": "fidelity", "axis": "omega_mu", "workers": 2},
+    manifest = RunManifest(
+        tool_version="0.1.0",
+        species_digest="deadbeef",
+        config={"command": "fidelity", "axis": "omega_mu", "workers": "2"},
         wall_clock_s=1.25,
-        row_status=["ok", "error: no window", "ok"],
+        row_status=("ok", "error: no window", "ok"),
     )
     path = tmp_path / "run.json"
     manifest.write(path)
     payload = json.loads(path.read_text())
     assert payload["species_sha256"] == "deadbeef"
-    assert tuple(sorted(payload["config"].items())) == manifest.config
+    assert payload["config"] == {"axis": "omega_mu", "command": "fidelity", "workers": "2"}
     assert payload["rows"] == ["ok", "error: no window", "ok"]
     assert payload["wall_clock_s"] == 1.25
     assert payload["tool_version"] == manifest.tool_version
