@@ -27,8 +27,7 @@ def sweep(fixed):
     rows = []
     for nu in NU_MU_MHZ:
         params = dataclasses.replace(fixed, omega_mu=TWOPI * nu * 1e6)
-        d_opt, avg = optimize_d11(params)
-        rows.append((nu, d_opt, avg))
+        rows.append((nu, optimize_d11(params)))
     return rows
 
 
@@ -47,7 +46,8 @@ def main():
     print()
 
     rows = sweep(fixed)
-    nu_best, d_best, best = max(rows, key=lambda r: r[2].f_total)
+    nu_best, best = max(rows, key=lambda r: r[1].f_total)
+    d_best = best.d11_used
     print(f"best working point: nu_mu = {nu_best:.3f} MHz, d11 = {d_best:.2f} um")
     print(f"  f0 averaged over positions  = {best.f0_avg:.4f}")
     print(f"  motional dephasing eta_m    = {best.eta_m:.4f}")
@@ -61,9 +61,9 @@ def main():
     render_plot(
         OUT / "fidelity_sweep.svg",
         [
-            Series([r[0] for r in rows], [r[2].f_total for r in rows], "f_total"),
-            Series([r[0] for r in rows], [r[2].f0_avg for r in rows], "<f0>", dashed=True),
-            Series([r[0] for r in rows], [r[2].eta_m for r in rows], "eta_m", dashed=True),
+            Series([r[0] for r in rows], [r[1].f_total for r in rows], "f_total"),
+            Series([r[0] for r in rows], [r[1].f0_avg for r in rows], "<f0>", dashed=True),
+            Series([r[0] for r in rows], [r[1].eta_m for r in rows], "eta_m", dashed=True),
         ],
         title="Averaged gate fidelity vs microwave Rabi frequency",
         xlabel="nu_mu (MHz)",
@@ -77,13 +77,12 @@ def main():
     at_best = dataclasses.replace(fixed, omega_mu=TWOPI * nu_best * 1e6)
     for t_uk in (0.1, 1.0, 10.0):
         params = dataclasses.replace(at_best, temperature=t_uk * 1e-6)
-        _, avg = optimize_d11(params)
-        print(f"  T = {t_uk:5.1f} uK -> f_total = {avg.f_total:.4f}")
+        print(f"  T = {t_uk:5.1f} uK -> f_total = {optimize_d11(params).f_total:.4f}")
     print()
 
     print("and the cost of skipping the separation optimisation:")
-    naive = averaged_fidelity(at_best, d11=14.0)
-    tuned = averaged_fidelity(at_best, d11=d_best)
+    naive = averaged_fidelity(dataclasses.replace(at_best, d11=14.0))
+    tuned = averaged_fidelity(dataclasses.replace(at_best, d11=d_best))
     print(f"  d11 = 14.00 um -> f_total = {naive.f_total:.4f}")
     print(f"  d11 = {d_best:.2f} um -> f_total = {tuned.f_total:.4f}")
 

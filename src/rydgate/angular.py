@@ -243,7 +243,7 @@ def _angular_block_two(La, tJa, Lb, tJb, Lc, tJc, Ld, tJd, tM) -> np.ndarray:
         for k, (ma, mb) in enumerate(cols):
             q = mc - ma
             w = _VDD_WEIGHT.get(round(q * 2) / 2)
-            if w is None or abs(md - mb + q) > 1e-9:
+            if w is None:
                 continue
             t1 = dipole_component(Lc, Jc, mc, La, Ja, ma)
             if t1 == 0.0:

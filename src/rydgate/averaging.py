@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .constants import K_BOLTZMANN, check_domain
-from .errors import WindowError
+from .errors import NumericsError, WindowError
 from .gate import GateParams, fidelity_curve
 
 __all__ = [
@@ -69,16 +69,21 @@ def motional_dephasing(params: DephasingParams) -> float:
 
     Thermal speed v = sqrt(kB T / m) sets the site exit time
     xi = w0 / v and the spin-wave scrambling time tau = lambda / (2 pi v);
-    eta_m = exp[-(t/tau)^2 / (1 + (t/xi)^2)].  Returns 1 exactly at zero
-    temperature.
+    eta_m = exp[-(t/tau)^2 / (1 + (t/xi)^2)], 1 exactly at zero temperature.
+    Squares past the float range take their limits: 1 as w0 -> 0, 0 as
+    lambda -> 0, exp[-(t/tau)^2] as w0 -> inf; NumericsError if two clash.
     """
     if params.temperature == 0.0 or params.pulse_time == 0.0:
         return 1.0
     v_um_s = math.sqrt(K_BOLTZMANN * params.temperature / params.mass_kg) * 1e6
-    tau = params.lambda_sw_um / (2.0 * math.pi * v_um_s)
-    xi = params.w0_um / v_um_s
-    t2 = params.pulse_time * params.pulse_time
-    return math.exp(-(t2 / tau**2) / (1.0 + t2 / xi**2))
+    with np.errstate(all="ignore"):
+        tau = np.float64(params.lambda_sw_um) / (2.0 * math.pi * v_um_s)
+        xi = np.float64(params.w0_um) / v_um_s
+        t2 = np.float64(params.pulse_time) * params.pulse_time
+        eta_m = math.exp(-(t2 / tau**2) / (1.0 + t2 / xi**2))
+    if math.isnan(eta_m):
+        raise NumericsError(f"motional dephasing has no limit at {params}")
+    return eta_m
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,6 +103,8 @@ def _gauss_averages(curve, requests, sigma_um: float) -> list[float]:
     kept nodes joined together; each mean is reduced over its own slice.
     With no spread (sigma 0) each mean is the curve at d11 itself.
     """
+    if not math.isfinite(sigma_um):
+        raise NumericsError(f"separation spread overflows: sigma = {sigma_um} um")
     if sigma_um == 0.0:
         return [float(v) for v in curve(np.asarray([d11 for d11, _ in requests]))]
     kept = []
@@ -160,14 +167,15 @@ class AveragedFidelity:
     warnings: tuple[str, ...] = ()
 
 
-def averaged_fidelity(params: GateParams, d11: float | None = None) -> AveragedFidelity:
-    """Positional + motional average of the gate fidelity at separation
-    ``d11``, else ``params.d11``; ValueError when neither is set."""
-    d11 = params.d11 if d11 is None else d11
-    if d11 is None:
-        raise ValueError("no pair separation: pass d11 or set params.d11")
+def averaged_fidelity(params: GateParams) -> AveragedFidelity:
+    """Positional + motional average of the gate fidelity at ``params.d11``;
+    ValueError when it is None (``optimize_d11`` chooses one)."""
+    if params.d11 is None:
+        raise ValueError("no pair separation: set params.d11 or call optimize_d11")
     scales = params.lengthscales
-    f0_avg, warnings = site_average(fidelity_curve(params), d11, scales.r_b6, params.q)
+    f0_avg, warnings = site_average(fidelity_curve(params), params.d11, scales.r_b6, params.q)
+    if not math.isfinite(f0_avg):
+        raise NumericsError(f"site-averaged fidelity is {f0_avg} at d11 = {params.d11:g} um")
     # At q = 0, the w0 -> 0 limit of the dephasing envelope: the transit
     # term t^2/xi^2 diverges and the exponent vanishes.
     eta_m = 1.0
@@ -185,14 +193,14 @@ def averaged_fidelity(params: GateParams, d11: float | None = None) -> AveragedF
         f0_avg=float(f0_avg),
         eta_m=float(eta_m),
         f_total=float(eta_m * f0_avg),
-        d11_used=float(d11),
+        d11_used=float(params.d11),
         coupling_budget=float(params.eta_c**2),
         warnings=warnings,
     )
 
 
-def optimize_d11(params: GateParams) -> tuple[float, AveragedFidelity]:
-    """Pick the separation that maximises the averaged fidelity.
+def optimize_d11(params: GateParams) -> AveragedFidelity:
+    """Averaged fidelity at the separation that maximises it, its ``d11_used``.
 
     Search interval is the operating window [max(r_b6, r_mu), r_b3]
     stretched by [0.8, 1.2]; raises WindowError when that interval is
@@ -222,13 +230,10 @@ def optimize_d11(params: GateParams) -> tuple[float, AveragedFidelity]:
     k = int(np.argmax(coarse_vals))
     b_lo = float(coarse[max(k - 1, 0)])
     b_hi = float(coarse[min(k + 1, len(coarse) - 1)])
-    if b_lo == b_hi:
+    d_opt = _golden_max(f0_avg_at, b_lo, b_hi, 1e-3)
+    if f0_avg_at(d_opt) < coarse_vals[k]:
         d_opt = float(coarse[k])
-    else:
-        d_opt = _golden_max(f0_avg_at, b_lo, b_hi, 1e-3)
-        if f0_avg_at(d_opt) < coarse_vals[k]:
-            d_opt = float(coarse[k])
-    return d_opt, averaged_fidelity(params, d_opt)
+    return averaged_fidelity(dataclasses.replace(params, d11=d_opt))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:

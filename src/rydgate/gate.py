@@ -198,8 +198,9 @@ def fidelity_curve(params: GateParams):
     """
 
     def curve(d11):
-        amps = component_amplitudes(params, d11)
-        total = amps[0] + amps[1] + amps[2] - amps[3]
-        return np.abs(total) ** 2 / 16.0
+        with np.errstate(all="ignore"):  # the averaging judges a non-finite value
+            amps = component_amplitudes(params, d11)
+            total = amps[0] + amps[1] + amps[2] - amps[3]
+            return np.abs(total) ** 2 / 16.0
 
     return curve

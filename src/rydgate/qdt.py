@@ -255,8 +255,6 @@ def _radial_solution_cached(
         raise NumericsError(f"{level}: inner cutoff {r_in} exceeds outer {r_out}")
     x = np.linspace(math.sqrt(r_in), math.sqrt(r_out), points)
     u = _normalised_solutions([level], [n_star], [x])[0]
-    if u[int(np.argmax(np.abs(u)))] < 0.0:
-        u = -u
 
     coarse = float(_simpson(2.0 * x[::2] * u[::2] ** 2, x[::2]))
     norm_error = abs(coarse - 1.0)

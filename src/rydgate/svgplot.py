@@ -47,8 +47,6 @@ def _finite_pairs(series, xlog, ylog):
 
 
 def _linear_ticks(lo: float, hi: float, target: int = 6):
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / max(target, 2)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag

@@ -164,14 +164,11 @@ def _fidelity_row(args):
         else:
             params = dataclasses.replace(spec.fixed, **{spec.axis: float(value)})
         window_ok = params.lengthscales.window_ok
-        if params.d11 is None:
-            d_used, avg = optimize_d11(params)
-        else:
-            d_used, avg = params.d11, averaged_fidelity(params)
+        avg = averaged_fidelity(params) if params.d11 is not None else optimize_d11(params)
     except RydgateError as exc:
         nan = float("nan")
         return _error_status(exc), [[display, nan, nan, nan, nan, nan, False]]
-    row = [display, d_used, avg.f0_avg, avg.eta_m, avg.f_total, avg.coupling_budget, window_ok]
+    row = [display, avg.d11_used, avg.f0_avg, avg.eta_m, avg.f_total, avg.coupling_budget, window_ok]
     if avg.warnings:
         return "warning: " + "; ".join(avg.warnings), [row]
     return "ok", [row]

@@ -123,7 +123,7 @@ def _grid_scan(species, n, omega_c, temperature, q):
     best, best_idx = -1.0, -1
     for idx, omega_mu in enumerate(OMEGA_MU_GRID):
         params = dataclasses.replace(fixed, omega_mu=omega_mu)
-        _, avg = optimize_d11(params)
+        avg = optimize_d11(params)
         if avg.f_total > best:
             best, best_idx = avg.f_total, idx
     return best, best_idx

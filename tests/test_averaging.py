@@ -1,5 +1,6 @@
 """Motional dephasing, positional site averaging, and the d11 optimiser."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from rydgate.averaging import (
     _hermgauss,
 )
 from rydgate.constants import K_BOLTZMANN, TWOPI
-from rydgate.errors import WindowError
+from rydgate.errors import NumericsError, WindowError
 from rydgate.gate import GateParams, fidelity_curve
 
 
@@ -85,6 +86,20 @@ def test_dephasing_pure_gaussian_limit():
     tau = params.lambda_sw_um / (2.0 * math.pi * v)
     eta = motional_dephasing(_dephasing(w0_um=1e12, pulse_time=tau))
     assert eta == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
+def test_dephasing_takes_the_limit_where_a_square_leaves_the_floats():
+    # w0 -> 0: the transit term diverges and eta_m -> 1, as at q = 0
+    assert motional_dephasing(_dephasing(w0_um=1e-300)) == 1.0
+    # lambda -> 0: the scrambling term diverges and eta_m -> 0
+    assert motional_dephasing(_dephasing(lambda_sw_um=1e-300)) == 0.0
+    # w0 -> inf: the pure Gaussian envelope exp[-(t/tau)^2]
+    wide = motional_dephasing(_dephasing(w0_um=1e300))
+    assert wide == pytest.approx(motional_dephasing(_dephasing(w0_um=1e12)), rel=1e-12)
+    assert 0.0 < wide < 1.0
+    # both terms diverge: no limit, a typed error
+    with pytest.raises(NumericsError, match="no limit"):
+        motional_dephasing(_dephasing(w0_um=1e-300, lambda_sw_um=1e-300))
 
 
 def test_dephasing_monotone_in_temperature_and_time():
@@ -204,14 +219,30 @@ def test_averaged_fidelity_within_curve_range(species):
 
 def test_averaged_fidelity_eta_m_independent_of_d11(species):
     params = _gate_params(species)
-    assert averaged_fidelity(params, 9.0).eta_m == averaged_fidelity(params, 15.0).eta_m
+    assert (
+        averaged_fidelity(dataclasses.replace(params, d11=9.0)).eta_m
+        == averaged_fidelity(dataclasses.replace(params, d11=15.0)).eta_m
+    )
+
+
+@pytest.mark.parametrize("overrides", [dict(d11=1e-300), dict(d11=10.0, d_far=1e-300)])
+def test_averaged_fidelity_rejects_a_non_finite_average(species, overrides, recwarn):
+    # C3/d^3 overflows; the curve is nan, numpy stays quiet, the average raises
+    params = _gate_params(species, **overrides)
+    with pytest.raises(NumericsError, match="site-averaged fidelity is nan"):
+        averaged_fidelity(params)
+    assert not recwarn.list
+
+
+def test_averaged_fidelity_rejects_an_infinite_spread(species):
+    with pytest.raises(NumericsError, match="spread overflows"):
+        averaged_fidelity(_gate_params(species, q=1e308))
 
 
 def test_averaged_fidelity_needs_a_separation(species):
     params = _gate_params(species, d11=None)
     with pytest.raises(ValueError, match="no pair separation"):
         averaged_fidelity(params)
-    assert averaged_fidelity(params, 12.0) == averaged_fidelity(_gate_params(species))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +250,8 @@ def test_averaged_fidelity_needs_a_separation(species):
 
 def test_optimize_d11_lands_inside_stretched_window(species):
     params = _gate_params(species)
-    d_opt, best = optimize_d11(params)
+    best = optimize_d11(params)
+    d_opt = best.d11_used
     from rydgate.lengthscales import blockade_radii
 
     scales = blockade_radii(
@@ -229,10 +261,9 @@ def test_optimize_d11_lands_inside_stretched_window(species):
         params.omega_mu,
     )
     assert 0.8 * scales.window[0] <= d_opt <= 1.2 * scales.window[1]
-    assert best.d11_used == d_opt
     # no interior point of a coarse probe grid beats the optimum
     probe = np.linspace(0.8 * scales.window[0], 1.2 * scales.window[1], 17)
-    probed = [averaged_fidelity(params, float(d)).f0_avg for d in probe]
+    probed = [averaged_fidelity(dataclasses.replace(params, d11=float(d))).f0_avg for d in probe]
     assert best.f0_avg >= max(probed) - 1e-6
 
 

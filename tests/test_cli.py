@@ -6,6 +6,7 @@ the byte-level reproducibility of CSV output across worker counts.
 
 import csv
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -164,6 +165,34 @@ def test_fidelity_row_failure_exit_code(tmp_path, capsys):
     cells = dict(zip(header, rows[0]))
     assert cells["f_total"] == "nan"
     assert cells["window_ok"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--q", "1e-300"), 0),
+        (("--lambda-sw-um", "1e-300"), 0),
+        (("--q", "1e300"), 0),
+        (("--d11", "fixed:1e-300"), 1),
+        (("--d11", "fixed:10", "--d-far-um", "1e-300"), 1),
+    ],
+)
+def test_fidelity_extreme_settings_give_a_row(tmp_path, capfd, argv, code):
+    """Settings inside their domains at the edge of the floats end in a
+    limit or a typed row error: never a traceback, never an ok row of nan."""
+    out = tmp_path / "edge"
+    assert _run("fidelity", "--values", "1", *argv, "--out", str(out)) == code
+    err = capfd.readouterr().err
+    assert "Warning" not in err
+    status = json.loads((out / "fidelity.manifest.json").read_text())["rows"][0]
+    header, rows = read_csv(out / "fidelity.csv")
+    cells = dict(zip(header, rows[0]))
+    if code:
+        assert status.startswith("error: NumericsError")
+        assert err == "fidelity: 1 row(s) failed; see manifest\n"
+    else:
+        assert not status.startswith("error") and err == ""
+        assert all(math.isfinite(float(cells[k])) for k in ("f0_avg", "eta_m", "f_total"))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,19 @@ def test_radial_solution_record(hydrogenic):
     assert sol.nodes == 9
 
 
+@pytest.mark.parametrize("n", [6, 30, 70, 200])
+def test_outermost_lobe_is_positive(species, n):
+    # The inward recurrence starts from a positive seed at the tail, which
+    # fixes the sign the RadialSolution docstring promises; the outermost
+    # lobe is also the largest.
+    for L in range(3):
+        for J in {abs(L - 0.5), L + 0.5}:
+            u = radial_wavefunction(species, RydbergLevel(n, L, J)).u
+            tail = u[np.flatnonzero(np.signbit(u[1:]) != np.signbit(u[:-1]))[-1] + 1 :]
+            assert np.all(tail >= 0.0)
+            assert np.argmax(np.abs(u)) >= len(u) - len(tail)
+
+
 @pytest.mark.parametrize("n,L,nodes", [(10, 1, 8), (10, 2, 7), (12, 0, 11)])
 def test_node_counts_zero_defect(hydrogenic, n, L, nodes):
     sol = radial_wavefunction(hydrogenic, RydbergLevel(n, L, L + 0.5))

@@ -164,9 +164,9 @@ def test_fidelity_sweep_optimises_an_open_d11(species):
     fixed = _fixed_params(species, d11=None)
     spec = SweepSpec(axis="omega_mu", values=(fixed.omega_mu,), fixed=fixed)
     header, table, status = fidelity_sweep(species, spec)
-    d_opt, best = optimize_d11(fixed)
+    best = optimize_d11(fixed)
     cells = dict(zip(header, table[0]))
-    assert cells["d11_um"] == d_opt
+    assert cells["d11_um"] == best.d11_used
     assert cells["f_total"] == best.f_total
 
 

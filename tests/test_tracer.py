@@ -56,9 +56,12 @@ def test_tracer_finds_every_hook(tmp_path, spec):
 def test_fidelity_row_evaluates_the_curve_once_per_stage(tmp_path):
     # One coarse d11 scan, one call per golden-section probe, one site
     # average: 21 calls. Batching moves no point, so the count stays.
+    # The row averages once, at the optimum.
     metrics = _trace(tmp_path, ONE_ROW_FIDELITY)["metrics"]
     assert metrics["gate.curve.points"] == 1687
     assert metrics["gate.curve.calls"] == 21
+    assert metrics["averaging.optimize_d11.calls"] == 1
+    assert metrics["averaging.averaged_fidelity.calls"] == 1
 
 
 def test_fixed_d11_row_skips_the_optimiser(tmp_path):
