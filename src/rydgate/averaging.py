@@ -24,12 +24,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from importlib import resources
 
 import numpy as np
 
 from .constants import K_BOLTZMANN, check_domain
 from .errors import NumericsError, WindowError
 from .gate import GateParams, fidelity_curve
+from .textio import format_fixed
 
 __all__ = [
     "SITE_AVERAGE_NODES",
@@ -88,8 +90,18 @@ def motional_dephasing(params: DephasingParams) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights, built once per order, read-only."""
-    x, w = np.polynomial.hermite.hermgauss(nodes)
+    """Gauss-Hermite nodes and weights of order 41 or 81, read once, read-only.
+
+    Stored with the bits numpy's ``hermgauss`` returns: building them takes
+    a dense ``eigvalsh``, and from 65 nodes up OpenBLAS wakes its thread
+    pool for it, whose idle threads then spin through the rest of the run.
+    """
+    text = resources.files("rydgate.data").joinpath("hermgauss.txt").read_text("utf-8")
+    rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
+    x = np.array([float(node) for order, node, _ in rows if int(order) == nodes])
+    w = np.array([float(weight) for order, _, weight in rows if int(order) == nodes])
+    if x.size != nodes:
+        raise ValueError(f"no stored Gauss-Hermite rule of order {nodes}")
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -146,7 +158,7 @@ def site_average(curve, d11: float, r_b6_um: float, q: float):
     if abs(fine - coarse) > _CONVERGENCE_TOL:
         warnings = (
             f"site average moved by {abs(fine - coarse):.2e} when doubling "
-            f"quadrature order at d11 = {d11:.3f} um",
+            f"quadrature order at d11 = {format_fixed(d11, 3)} um",
         )
     return fine, warnings
 
@@ -214,9 +226,9 @@ def optimize_d11(params: GateParams) -> AveragedFidelity:
     hi = 1.2 * scales.window[1]
     if not lo < hi:
         raise WindowError(
-            f"empty operating window: [{lo:.3f}, {hi:.3f}] um "
-            f"(r_b3 = {scales.r_b3:.3f}, r_b6 = {scales.r_b6:.3f}, "
-            f"r_mu = {scales.r_mu:.3f})"
+            f"empty operating window: [{format_fixed(lo, 3)}, {format_fixed(hi, 3)}] um "
+            f"(r_b3 = {format_fixed(scales.r_b3, 3)}, r_b6 = {format_fixed(scales.r_b6, 3)}, "
+            f"r_mu = {format_fixed(scales.r_mu, 3)})"
         )
 
     curve = fidelity_curve(params)

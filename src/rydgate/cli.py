@@ -39,7 +39,7 @@ from .constants import RESONANCE_THRESHOLD_HZ
 from .errors import RydgateError, SpeciesDataError
 from .species import PACKAGED, load_species
 from .svgplot import Series, render_plot
-from .textio import parse_document_file, write_csv
+from .textio import format_fixed, parse_document_file, write_csv
 
 __all__ = ["main", "build_parser", "UsageError"]
 
@@ -201,7 +201,7 @@ def _fidelity(s, species, csv_path):
     summary = (
         f"fidelity: {len(table)} rows -> {csv_path}; "
         f"best f_total = {best[4]:.4f} at {axis} = {best[0]:g} "
-        f"(d11 = {best[1]:.2f} um); coupling budget eta_c^2 = {best[5]:.3f}, "
+        f"(d11 = {format_fixed(best[1], 2)} um); coupling budget eta_c^2 = {best[5]:.3f}, "
         f"overall = {best[5] * best[4]:.4f}"
     )
     return rows, plot, summary

@@ -109,8 +109,12 @@ def render_plot(
                 lo, hi = lo / 2.0, hi * 2.0
             pad = (math.log10(hi) - math.log10(lo)) * 0.04
             return 10.0 ** (math.log10(lo) - pad), 10.0 ** (math.log10(hi) + pad)
-        if hi - lo < 1e-300:
-            lo, hi = lo - 0.5, hi + 0.5
+        # one point, or points closer than 1e-9 of their size: pad by +-0.5,
+        # or by 1e-9 of the size where that is more (+-0.5 rounds away
+        # above about 1e16, and so would any tick step)
+        tiny = 1e-9 * max(abs(lo), abs(hi))
+        if hi - lo < max(tiny, 1e-300):
+            lo, hi = lo - max(tiny, 0.5), hi + max(tiny, 0.5)
         pad = (hi - lo) * 0.05
         return lo - pad, hi + pad
 

@@ -158,6 +158,7 @@ def _fidelity_row(args):
     species, spec, value = args
     _, to_display, _ = AXES[spec.axis]
     display = to_display(float(value))
+    window_ok = False  # until the working point's lengthscales are known
     try:
         if spec.axis == "n":
             params = GateParams.for_level_system(species, int(value), **spec.fixed.settings)
@@ -167,7 +168,7 @@ def _fidelity_row(args):
         avg = averaged_fidelity(params) if params.d11 is not None else optimize_d11(params)
     except RydgateError as exc:
         nan = float("nan")
-        return _error_status(exc), [[display, nan, nan, nan, nan, nan, False]]
+        return _error_status(exc), [[display, nan, nan, nan, nan, nan, window_ok]]
     row = [display, avg.d11_used, avg.f0_avg, avg.eta_m, avg.f_total, avg.coupling_budget, window_ok]
     if avg.warnings:
         return "warning: " + "; ".join(avg.warnings), [row]

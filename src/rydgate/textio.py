@@ -96,6 +96,12 @@ def format_float(x: float) -> str:
     return f"{float(x):.11e}"
 
 
+def format_fixed(x: float, decimals: int) -> str:
+    """``x`` to ``decimals`` places, in scientific notation from 1e6 up, so
+    that a message never spells out hundreds of digits."""
+    return f"{x:.{decimals}{'e' if abs(x) >= 1e6 else 'f'}}"
+
+
 def write_csv(path, header: list[str], table: list[list]) -> None:
     """Write rows as UTF-8 CSV with deterministic float formatting.
 

@@ -188,6 +188,39 @@ def test_gauss_averages_reject_no_support_before_any_curve_call():
 
 
 # ---------------------------------------------------------------------------
+# stored Gauss-Hermite rules
+
+@pytest.mark.parametrize("nodes", [SITE_AVERAGE_NODES, 2 * SITE_AVERAGE_NODES - 1])
+def test_stored_rules_hold_numpys_bits(nodes):
+    x, w = _hermgauss(nodes)
+    want_x, want_w = np.polynomial.hermite.hermgauss(nodes)
+    assert x.tobytes() == want_x.tobytes()
+    assert w.tobytes() == want_w.tobytes()
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_averaging_builds_no_quadrature_rule(species, monkeypatch):
+    """Building a rule takes a dense eigensolve, whose BLAS threads wake
+    from 65 nodes up; the averaging layer reads stored rules instead."""
+    params = _gate_params(species)
+    want = optimize_d11(params)
+    _hermgauss.cache_clear()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the averaging layer built a quadrature rule")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", forbidden)
+    assert optimize_d11(params) == want
+
+
+def test_unstored_rule_order_is_refused():
+    with pytest.raises(ValueError, match="order 40"):
+        _hermgauss(40)
+
+
+# ---------------------------------------------------------------------------
 # averaged fidelity
 
 def test_averaged_fidelity_zero_q_reduces_to_pointwise(species):

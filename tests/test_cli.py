@@ -7,6 +7,7 @@ the byte-level reproducibility of CSV output across worker counts.
 import csv
 import json
 import math
+import re
 from importlib import resources
 
 import pytest
@@ -193,6 +194,43 @@ def test_fidelity_extreme_settings_give_a_row(tmp_path, capfd, argv, code):
     else:
         assert not status.startswith("error") and err == ""
         assert all(math.isfinite(float(cells[k])) for k in ("f0_avg", "eta_m", "f_total"))
+
+
+def test_fidelity_error_row_reports_a_known_window(tmp_path):
+    # the working point is fine; only its site average fails
+    out = tmp_path / "edge"
+    assert _run("fidelity", "--values", "1", "--d11", "fixed:1e-300", "--out", str(out)) == 1
+    status = json.loads((out / "fidelity.manifest.json").read_text())["rows"][0]
+    assert status.startswith("error: NumericsError")
+    header, rows = read_csv(out / "fidelity.csv")
+    assert dict(zip(header, rows[0]))["window_ok"] == "1"
+
+
+@pytest.mark.parametrize("axis", ["q", "temperature"])
+@pytest.mark.parametrize("value", ["1e30", "1e300"])
+def test_fidelity_one_huge_axis_value_writes_every_artifact(tmp_path, axis, value):
+    out = tmp_path / "huge"
+    assert _run("fidelity", "--axis", axis, "--values", value, "--out", str(out)) in (0, 1)
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["fidelity.csv", "fidelity.manifest.json", "fidelity.svg"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--values", "1", "--d11", "fixed:1e300"),
+        ("--values", "1", "--omega-c-mhz", "1e-300"),
+        ("--values", "1", "--omega-eit-mhz", "1e-300"),
+        ("--axis", "omega_c", "--values", "1e-300"),
+    ],
+)
+def test_fidelity_prints_extreme_distances_in_bounded_digits(tmp_path, capsys, argv):
+    out = tmp_path / "far"
+    assert _run("fidelity", *argv, "--out", str(out)) in (0, 1)
+    status = json.loads((out / "fidelity.manifest.json").read_text())["rows"][0]
+    for text in (capsys.readouterr().out, status):
+        numbers = re.findall(r"\d[\d.e+-]*", text)
+        assert max(map(len, numbers), default=0) <= 25, text
 
 
 # ---------------------------------------------------------------------------

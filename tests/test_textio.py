@@ -5,7 +5,7 @@ import csv
 import pytest
 
 from rydgate.errors import SpeciesDataError
-from rydgate.textio import format_float, parse_document, parse_document_file, write_csv
+from rydgate.textio import format_fixed, format_float, parse_document, parse_document_file, write_csv
 
 SAMPLE = """
 # leading comment
@@ -75,6 +75,20 @@ def test_format_float_is_12_significant_digits():
     assert format_float(1.0) == "1.00000000000e+00"
     assert format_float(-0.125) == "-1.25000000000e-01"
     assert format_float(6.02214076e23) == "6.02214076000e+23"
+
+
+def test_format_fixed_is_fixed_point_below_a_million():
+    assert format_fixed(21.70035525570, 3) == "21.700"
+    assert format_fixed(17.0712, 2) == "17.07"
+    assert format_fixed(999999.0, 2) == "999999.00"
+    assert format_fixed(1e-300, 3) == "0.000"
+    assert format_fixed(float("nan"), 3) == "nan"
+
+
+@pytest.mark.parametrize("x", [1e6, 1e300, -1.7976931348623157e308, float("inf")])
+def test_format_fixed_is_scientific_from_a_million_up(x):
+    text = format_fixed(x, 3)
+    assert float(text) == float(f"{x:.3e}") and len(text) <= 11
 
 
 def test_csv_round_trip(tmp_path):
