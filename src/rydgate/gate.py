@@ -159,34 +159,31 @@ def two_level_pulse(omega_mu, delta_p, delta_r, gamma_r, gamma_p, duration):
     return amp.reshape(shape)[()]
 
 
-def component_amplitudes(params: GateParams, d11) -> np.ndarray:
-    """Amplitudes of the four components after the pulse, vectorised over d11.
+def _far_near(params: GateParams, d11):
+    """Far and near amplitudes after the pulse, rows F, R, vectorised over d11.
 
-    Returns shape (4,) + shape(d11) in COMPONENT_LABELS order. Component
-    "11" sits at the control-target separation d11; the other three sit
-    at d_far, which is 5 * d11 unless pinned. The control spectator decay
-    exp(-gamma_rp t / 2) multiplies every component (each component
-    stores one control excitation somewhere). The pulse kernel runs once,
-    on d_far and d11 stacked together.
+    F sits at d_far (5 * d11 unless pinned), R at the control-target
+    separation d11; the control spectator decay exp(-gamma_rp t / 2)
+    multiplies both, as every component stores one control excitation.
+    The pulse kernel runs once, on d_far and d11 stacked together.
     """
     d11 = np.asarray(d11, dtype=float)
     if np.any(d11 <= 0):
         raise ValueError("control-target separation must be positive")
-    duration = params.pulse_time
-    c3_hz = params.c3_ghz_um3 * 1e9
-    c6_hz = params.c6_ghz_um6 * 1e9
-    spectator = np.exp(-0.5 * params.gamma_rp * duration)
-
-    def stored(d):
-        delta_p = TWOPI * c3_hz / d**3
-        delta_r = TWOPI * c6_hz / d**6
-        return spectator * two_level_pulse(
-            params.omega_mu, delta_p, delta_r, params.gamma_r, params.gamma_p, duration
-        )
-
     # far pairs scale with the trial separation unless pinned explicitly
     d_far = DEFAULT_D_FAR_FACTOR * d11 if params.d_far is None else np.full_like(d11, params.d_far)
-    far, near = stored(np.stack([d_far, d11]))
+    d, t = np.stack([d_far, d11]), params.pulse_time
+    delta_p = TWOPI * (params.c3_ghz_um3 * 1e9) / d**3
+    delta_r = TWOPI * (params.c6_ghz_um6 * 1e9) / d**6
+    return np.exp(-0.5 * params.gamma_rp * t) * two_level_pulse(
+        params.omega_mu, delta_p, delta_r, params.gamma_r, params.gamma_p, t
+    )
+
+
+def component_amplitudes(params: GateParams, d11) -> np.ndarray:
+    """The four components' amplitudes, shape (4,) + shape(d11) in
+    COMPONENT_LABELS order: F for "00", "01" and "10", R for "11" (see _far_near)."""
+    far, near = _far_near(params, d11)
     return np.stack([far, far, far, near])
 
 
@@ -199,8 +196,7 @@ def fidelity_curve(params: GateParams):
 
     def curve(d11):
         with np.errstate(all="ignore"):  # the averaging judges a non-finite value
-            amps = component_amplitudes(params, d11)
-            total = amps[0] + amps[1] + amps[2] - amps[3]
-            return np.abs(total) ** 2 / 16.0
+            far, near = _far_near(params, d11)
+            return np.abs(far + far + far - near) ** 2 / 16.0
 
     return curve

@@ -19,9 +19,10 @@ clean, yet within reach of the 1/d^3 exchange shift.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .constants import HBAR, PLANCK_H, TWOPI, check_domain
-from .errors import ResonanceError
+from .errors import NumericsError, ResonanceError
 from .levels import RydbergLevel, p_level, s_level
 from .pair import c3_coefficient, c6_coefficient
 from .qdt import lifetime
@@ -69,8 +70,12 @@ class RadiiPoint:
 
 
 def _power_radius(c_ghz: float, omega: float, k: int) -> float:
-    """(2 pi |C_k| / omega)^(1/k) in um, for C_k in GHz um^k and omega in rad/s."""
-    return (TWOPI * (abs(c_ghz) * 1e9) / omega) ** (1.0 / k)
+    """(2 pi |C_k| / omega)^(1/k) in um, for C_k in GHz um^k and omega in rad/s;
+    NumericsError where the quotient overflows."""
+    radius = (TWOPI * (abs(c_ghz) * 1e9) / omega) ** (1.0 / k)
+    if not math.isfinite(radius):
+        raise NumericsError(f"radius (2 pi |C{k}| / omega)^(1/{k}) overflows at omega = {omega:.3e} rad/s")
+    return radius
 
 
 def blockade_radii(

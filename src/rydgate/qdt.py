@@ -235,7 +235,15 @@ def _normalised_solutions(
         hi = lo + _PASS_ROWS
         x = np.stack(xs[lo:hi])
         w = _solve_on_grid(n_stars[lo:hi], [lv.L for lv in levels[lo:hi]], x)
-        norm2 = _simpson(2.0 * x * w * w, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm2 = _simpson(2.0 * x * w * w, x)
+            # The 1e250 rescale keeps w finite, but w * w can overflow where a
+            # solve starts deep in its forbidden region (a low-n level on a
+            # high-n partner's grid): such rows are scaled to a largest |w| of 1.
+            bad = ~np.isfinite(norm2)
+            if bad.any():
+                w[bad] /= np.max(np.abs(w[bad]), axis=1, keepdims=True)
+                norm2[bad] = _simpson(2.0 * x[bad] * w[bad] * w[bad], x[bad])
         for level, n_star, x_row, w_row, n2 in zip(
             levels[lo:hi], n_stars[lo:hi], x, w, norm2.tolist()
         ):
@@ -391,7 +399,7 @@ def lifetime(species: AtomSpecies, level: RydbergLevel, temperature: float) -> f
     universal quadratic-in-1/n* form 4 alpha_fs^3 k_B T / (3 hbar n*^2),
     valid when k_B T far exceeds the neighbouring transition energies
     (room temperature at high n). temperature = 0 returns the purely
-    radiative rate.
+    radiative rate; a rate beyond the floats is a NumericsError.
     """
     check_domain("radiation_temp", temperature, "radiation temperature")
     n_star = effective_quantum_number(species, level)
@@ -400,4 +408,7 @@ def lifetime(species: AtomSpecies, level: RydbergLevel, temperature: float) -> f
     gamma_bbr = (
         4.0 * ALPHA_FS**3 * K_BOLTZMANN * temperature / (3.0 * HBAR * n_star**2)
     )
-    return gamma_rad + gamma_bbr
+    gamma = gamma_rad + gamma_bbr
+    if not math.isfinite(gamma):
+        raise NumericsError(f"{level}: decay rate overflows at radiation temperature {temperature:.3e} K")
+    return gamma

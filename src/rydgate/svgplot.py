@@ -9,6 +9,7 @@ and gaps at non-finite points.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = ["Series", "render_plot", "PALETTE"]
@@ -21,6 +22,7 @@ _MARGIN_L = 74
 _MARGIN_R = 18
 _MARGIN_T = 42
 _MARGIN_B = 54
+_BIG = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,27 @@ def _finite_pairs(series, xlog, ylog):
     return pts
 
 
+def _half_width(lo: float, hi: float) -> float:
+    """(hi - lo) / 2, finite for any finite lo and hi; halving is exact
+    for normal floats, so (hi - lo) * c equals _half_width * 2c bitwise."""
+    return hi / 2.0 - lo / 2.0
+
+
+def _clip(v: float) -> float:
+    """v held inside the finite floats."""
+    return min(max(v, -_BIG), _BIG)
+
+
+def _pow10(e: float) -> float:
+    """10**e held inside the positive finite floats."""
+    try:
+        return max(10.0**e, math.ulp(0.0))
+    except OverflowError:
+        return _BIG
+
+
 def _linear_ticks(lo: float, hi: float, target: int = 6):
-    raw = (hi - lo) / max(target, 2)
+    raw = _half_width(lo, hi) / (max(target, 2) / 2.0)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -57,7 +78,8 @@ def _linear_ticks(lo: float, hi: float, target: int = 6):
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
     t = first
-    while t <= hi + 1e-9 * step:
+    end = min(hi + 1e-9 * step, _BIG)  # past the largest float, t is inf
+    while t <= end:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks
@@ -73,14 +95,21 @@ def _log_ticks(lo: float, hi: float):
     return ticks
 
 
-def _fmt_tick(v: float) -> str:
+def _fmt_tick(v: float, digits: int) -> str:
     if v != 0.0 and (abs(v) >= 1e4 or abs(v) < 1e-3):
-        exp = math.floor(math.log10(abs(v)))
-        mant = v / 10.0**exp
-        if abs(mant - 1.0) < 1e-9:
-            return f"1e{exp}"
-        return f"{mant:g}e{exp}"
-    return f"{v:g}"
+        mant, exp = f"{v:.{digits - 1}e}".split("e")
+        return f"{mant.rstrip('0').rstrip('.')}e{int(exp)}"
+    return f"{v:.{digits}g}"
+
+
+def _fmt_ticks(ticks) -> list[str]:
+    """Labels of one axis: six significant digits, or the fewest more
+    that tell its ticks apart (17 tell any two floats apart)."""
+    for digits in range(6, 18):
+        labels = [_fmt_tick(v, digits) for v in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 def render_plot(
@@ -106,17 +135,18 @@ def render_plot(
         lo, hi = min(vals), max(vals)
         if log:
             if hi / lo < 1.0001:
-                lo, hi = lo / 2.0, hi * 2.0
+                lo, hi = max(lo / 2.0, math.ulp(0.0)), _clip(hi * 2.0)
             pad = (math.log10(hi) - math.log10(lo)) * 0.04
-            return 10.0 ** (math.log10(lo) - pad), 10.0 ** (math.log10(hi) + pad)
+            return _pow10(math.log10(lo) - pad), _pow10(math.log10(hi) + pad)
         # one point, or points closer than 1e-9 of their size: pad by +-0.5,
         # or by 1e-9 of the size where that is more (+-0.5 rounds away
-        # above about 1e16, and so would any tick step)
+        # above about 1e16, and so would any tick step); near the largest
+        # float the padded ends stop at it
         tiny = 1e-9 * max(abs(lo), abs(hi))
         if hi - lo < max(tiny, 1e-300):
-            lo, hi = lo - max(tiny, 0.5), hi + max(tiny, 0.5)
-        pad = (hi - lo) * 0.05
-        return lo - pad, hi + pad
+            lo, hi = _clip(lo - max(tiny, 0.5)), _clip(hi + max(tiny, 0.5))
+        pad = _half_width(lo, hi) * 0.1
+        return _clip(lo - pad), _clip(hi + pad)
 
     x_lo, x_hi = span(xs, xlog)
     y_lo, y_hi = span(ys, ylog)
@@ -125,11 +155,11 @@ def render_plot(
     ph = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def tx(x):
-        u = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo)) if xlog else (x - x_lo) / (x_hi - x_lo)
+        u = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo)) if xlog else (x / 2.0 - x_lo / 2.0) / _half_width(x_lo, x_hi)
         return _MARGIN_L + u * pw
 
     def ty(y):
-        u = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo)) if ylog else (y - y_lo) / (y_hi - y_lo)
+        u = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo)) if ylog else (y / 2.0 - y_lo / 2.0) / _half_width(y_lo, y_hi)
         return _MARGIN_T + (1.0 - u) * ph
 
     out = []
@@ -164,7 +194,7 @@ def render_plot(
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
 
-    for t in x_ticks:
+    for t, label in zip(x_ticks, _fmt_ticks(x_ticks)):
         px = tx(t)
         y0 = _MARGIN_T + ph
         out.append(
@@ -173,9 +203,9 @@ def render_plot(
         )
         out.append(
             f'<text x="{px:.2f}" y="{y0 + 19}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{_esc(_fmt_tick(t))}</text>'
+            f'font-size="11" text-anchor="middle">{_esc(label)}</text>'
         )
-    for t in y_ticks:
+    for t, label in zip(y_ticks, _fmt_ticks(y_ticks)):
         py = ty(t)
         out.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" x2="{_MARGIN_L}" y2="{py:.2f}" '
@@ -183,7 +213,7 @@ def render_plot(
         )
         out.append(
             f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" font-family="monospace" '
-            f'font-size="11" text-anchor="end">{_esc(_fmt_tick(t))}</text>'
+            f'font-size="11" text-anchor="end">{_esc(label)}</text>'
         )
 
     out.append(

@@ -8,12 +8,14 @@ import csv
 import json
 import math
 import re
+import warnings
 from importlib import resources
 
 import pytest
 
 from rydgate import gate, pair
 from rydgate.cli import _COMMANDS, main
+from rydgate.constants import AXES, DOMAINS, check_domain
 from rydgate.sweeps import (
     FIDELITY_COLUMNS,
     FORSTER_COLUMNS,
@@ -507,3 +509,76 @@ def test_fidelity_defaults_are_the_gate_constants():
     assert settings["lambda_sw_um"][1].endswith(f"(default {gate.DEFAULT_LAMBDA_SW_UM:g})")
     assert settings["eta_c"][1].endswith(f"(default {gate.DEFAULT_ETA_C:g})")
     assert settings["d_far_um"][1].endswith(f"(default {gate.DEFAULT_D_FAR_FACTOR:g}*d11)")
+
+
+# ---------------------------------------------------------------------------
+# domain edges: every numeric setting and every sweep axis at the edges of
+# the floats, derived from the command table, so a new setting is covered
+
+_EDGES = ("2.2250738585072014e-308", "1e-300", "1e-30", "0", "1e30", "1e300",
+          "1.7976931348623157e308")
+_EDGE_BASE = {"radii": ("--n", "70"), "merit": ("--n", "70"), "forster": ("--n", "70"),
+              "fidelity": ("--values", "1")}
+
+
+def _edge_inputs():
+    """(argv, domain name) for each setting other than n and workers, and
+    each fidelity axis other than n, at each edge value."""
+    for command, (_, settings, _) in _COMMANDS.items():
+        for key, cast, *_ in settings:
+            if cast is str or key == "n":
+                continue
+            stem = key.rsplit("_", 1)[0] if key.endswith(("_mhz", "_uk", "_um", "_k")) else key
+            for value in _EDGES:
+                yield (command, *_EDGE_BASE[command], f"--{key.replace('_', '-')}", value), stem
+    for axis in AXES:
+        if axis != "n":
+            for value in _EDGES:
+                yield ("fidelity", "--axis", axis, "--values", value), axis
+
+
+def _in_domain(name, text):
+    try:
+        check_domain(name, float(text))
+    except ValueError:
+        return False
+    return True
+
+
+_LONG_NUMBER = re.compile(r"\d[\d.]*(?:[eE][-+]?\d+)?")
+
+
+@pytest.mark.parametrize(
+    "argv, domain", [pytest.param(*case, id=" ".join(case[0])) for case in _edge_inputs()]
+)
+def test_every_input_at_a_domain_edge_ends_cleanly(tmp_path, capsys, argv, domain):
+    """Exit 0 or 1 with a manifest, or 2 where the domain (or the integer
+    parse, or the unit conversion) rejects the value; no exception, no
+    warning, every row that is not an error finite but the NaN radii of a
+    resonance-flagged row, and no number of more than 25 characters."""
+    assert domain in DOMAINS
+    out = tmp_path / "edge"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run(*argv, "--out", str(out))
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    if not _in_domain(domain, argv[-1]):
+        assert code == 2
+    texts = [capsys.readouterr().out]
+    if code != 2:
+        command = argv[0]
+        manifest = (out / f"{command}.manifest.json").read_text()
+        texts.append(manifest)
+        if (out / f"{command}.svg").exists():
+            texts.append((out / f"{command}.svg").read_text())
+        (status,) = json.loads(manifest)["rows"]  # one n or one axis value
+        header, rows = read_csv(out / f"{command}.csv")
+        for row in rows if not status.startswith("error") else []:
+            cells = dict(zip(header, row))
+            for name, cell in cells.items():
+                if re.fullmatch(r"[-+]?(inf|nan|[\d.]+(e[-+]?\d+)?)", cell):
+                    flagged = cells.get("resonance_flag") == "1" and name.startswith("r_b6")
+                    assert math.isfinite(float(cell)) or (flagged and cell == "nan"), (name, row)
+    for text in texts:
+        assert max(map(len, _LONG_NUMBER.findall(text)), default=0) <= 25, text

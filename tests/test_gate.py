@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from rydgate import gate
 from rydgate.constants import TWOPI
 from rydgate.gate import (
     COMPONENT_LABELS,
@@ -339,6 +340,20 @@ def test_component_amplitudes_equal_two_call_form_bitwise(d_far, d11):
     want = _component_amplitudes_two_calls(params, d11)
     assert got.shape == want.shape == (4,) + np.shape(d11)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d_far", [None, 37.5])
+@pytest.mark.parametrize("d11", [10.0, np.linspace(6.0, 25.0, 41)], ids=["scalar", "array"])
+def test_far_and_near_amplitudes_are_the_damped_pulse_bitwise(d_far, d11):
+    """F at d_far and R at d11, each two_level_pulse times the spectator
+    decay; the curve is |3F - R|^2 / 16 summed as F + F + F - R."""
+    params = _params(gamma_r=3e3, gamma_rp=2e3, gamma_p=1e5, d_far=d_far)
+    far, near = gate._far_near(params, d11)
+    d_far_used = 5.0 * np.asarray(d11) if d_far is None else np.full_like(d11, d_far)
+    assert np.shape(far) == np.shape(near) == np.shape(d11)
+    assert np.array_equal(far, _stored_amplitude(params, d_far_used))
+    assert np.array_equal(near, _stored_amplitude(params, np.asarray(d11, dtype=float)))
+    assert np.array_equal(fidelity_curve(params)(d11), np.abs(far + far + far - near) ** 2 / 16.0)
 
 
 def test_far_component_is_clean_rotation():

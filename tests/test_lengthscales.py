@@ -5,7 +5,7 @@ import math
 import pytest
 
 from rydgate.constants import HBAR, PLANCK_H, TWOPI
-from rydgate.errors import ResonanceError
+from rydgate.errors import NumericsError, ResonanceError
 from rydgate.lengthscales import blockade_radii, figure_of_merit, radii_point
 from rydgate.levels import p_level, s_level
 from rydgate.pair import c3_coefficient, c6_coefficient
@@ -48,6 +48,17 @@ def test_radii_sign_and_validation():
         blockade_radii(11.55, 1575.0, 0.0, OMEGA_1MHZ)
     with pytest.raises(ValueError):
         blockade_radii(11.55, 1575.0, OMEGA_1MHZ, -OMEGA_1MHZ)
+
+
+def test_radius_beyond_the_floats_is_a_numerics_error(species):
+    """2 pi C / omega overflows at the smallest normal omega: a typed error,
+    where it once gave radii of inf (and an ok row of them in radii)."""
+    tiny = 2.2250738585072014e-308
+    with pytest.raises(NumericsError, match="overflows"):
+        blockade_radii(11.55, 1575.0, tiny, OMEGA_1MHZ)
+    with pytest.raises(NumericsError, match="overflows"):
+        radii_point(species, 70, tiny)
+    assert math.isfinite(radii_point(species, 70, 1e-300 * OMEGA_1MHZ).r_b3_um)
 
 
 def test_rb_70_reference_radii(species):

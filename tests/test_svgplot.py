@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -114,3 +115,40 @@ def test_axis_of_adjacent_floats_gets_ticks(tmp_path, x):
     env = dict(os.environ, PYTHONPATH=str(Path(rydgate.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True, timeout=60)
     assert len(_x_tick_labels(path.read_bytes())) >= 2
+
+
+_BIG = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "xs, xlog",
+    [((_BIG,), False), ((-_BIG,), False), ((_BIG / 2.0, _BIG), False), ((0.0, _BIG), False),
+     ((-_BIG, _BIG), False), ((_BIG,), True), ((math.ulp(0.0), 1e200), True)],
+    ids=["max", "-max", "half-to-max", "zero-to-max", "-max-to-max", "log-max", "log-min-to-1e200"],
+)
+def test_axis_at_the_largest_float_stays_finite(tmp_path, xs, xlog):
+    """Padding a span that reaches the largest float stops at it, where it
+    once overflowed to inf and the tick loop raised OverflowError; a span
+    wider than the largest float is measured in halves; a log span padded
+    below the smallest float once gave log10(0)."""
+    data = _render(tmp_path, "big.svg", [Series(xs, (0.5,) * len(xs), "s")], xlog=xlog)
+    assert b"inf" not in data and b"nan" not in data
+    labels = _x_tick_labels(data)
+    assert len(labels) >= 2 and all(len(label) <= 25 for label in labels)
+    root, ns = ET.fromstring(data), "{http://www.w3.org/2000/svg}"
+    px = [float(c.get("cx")) for c in root.iter(ns + "circle")]
+    px += [float(p.split(",")[0]) for line in root.iter(ns + "polyline") for p in line.get("points").split()]
+    assert px and all(74.0 <= v <= 642.0 for v in px)  # inside the frame
+
+
+@pytest.mark.parametrize("x", [1e30, 1e300, _BIG, 1e-30, 12345.678])
+def test_tick_labels_tell_the_ticks_apart(tmp_path, x):
+    """A narrow axis far from zero once read '10e29, 10e29, 1e30, 1e30, 1e30':
+    its labels take the digits they need, and a mantissa never reads 10."""
+    labels = _x_tick_labels(_render(tmp_path, "far.svg", [Series((x,), (0.5,), "dot")]))
+    assert len(labels) >= 2
+    assert len(set(labels)) == len(labels), labels
+    assert not any(re.match(r"-?10(\.0*)?e", label) for label in labels), labels
+    # the labels read back as numbers, in the ticks' order
+    values = [float(label) for label in labels]
+    assert values == sorted(values)
