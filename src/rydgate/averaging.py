@@ -11,9 +11,11 @@ Two effects degrade the idealised fixed-geometry fidelity:
 
 * **Site averaging.** The two excitations are localised only to the
   blockade scale: each sits within ~ q * r_b6 of its nominal site, so
-  the control-target separation is Gaussian-distributed with standard
-  deviation sqrt(2) q r_b6 around d11.  The pointwise fidelity is
-  averaged over that distribution by Gauss-Hermite quadrature.
+  the control-target separation s is Gaussian-distributed, truncated to
+  s > 0, with standard deviation sigma = sqrt(2) q r_b6 around d11.
+  f0(s) winds with phases that grow as 1/s^3 and 1/s^6, so it is
+  tabulated once per working point on panels that follow them
+  (``_SiteTable``), and each average is a weighted sum over that table.
 
 The two penalties multiply: f_total = eta_m * <f0>.  The fixed storage
 and retrieval budget eta_c**2 is reported alongside, never folded in.
@@ -24,17 +26,16 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from importlib import resources
 
 import numpy as np
 
-from .constants import K_BOLTZMANN, check_domain
+from .constants import DEFAULT_D_FAR_FACTOR, K_BOLTZMANN, TWOPI, check_domain
 from .errors import NumericsError, WindowError
 from .gate import GateParams, fidelity_curve
+from .lengthscales import Lengthscales
 from .textio import format_fixed
 
 __all__ = [
-    "SITE_AVERAGE_NODES",
     "DephasingParams",
     "motional_dephasing",
     "site_average",
@@ -43,7 +44,13 @@ __all__ = [
     "optimize_d11",
 ]
 
-SITE_AVERAGE_NODES = 41
+_PANEL_PHASE = 12.0  # rad of resolved phase per panel, at most
+_PANEL_SIGMA = 0.5  # panel width in units of sigma, at most
+_CUT_PHASE = 1e3  # rad of C6 phase below which the cross term is dropped
+_WIGGLE_PHASE = 300.0  # rad past which the other phases are not resolved
+_SPAN = 8.0  # sigmas of Gaussian kept each side of an average's centre
+_MAX_PANELS = 1024  # sigma/2 panels across [d_lo, d_hi] in one table, at most
+_POINT_SPREAD = 1e-9  # sigma / d11 below which the average is f0 at d11
 _CONVERGENCE_TOL = 1e-6
 
 
@@ -89,78 +96,108 @@ def motional_dephasing(params: DephasingParams) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights of order 41 or 81, read once, read-only.
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes, ascending, and weights on [-1, 1], by Newton's
+    method on P_n: numpy's ``leggauss`` takes an eigensolve (LAPACK)."""
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(10):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
-    Stored with the bits numpy's ``hermgauss`` returns: building them takes
-    a dense ``eigvalsh``, and from 65 nodes up OpenBLAS wakes its thread
-    pool for it, whose idle threads then spin through the rest of the run.
+
+class _SiteTable:
+    """f0 tabulated in one curve call for every average centred in [d_lo, d_hi].
+
+    16- and 8-point Gauss-Legendre panels run from d_hi + 8 sigma down to
+    max(d_lo - 8 sigma, 0), each at most sigma/2 wide and holding at most
+    12 rad of the phases 2 pi C_k t / s^k still resolved.  The C6 phase at
+    s winds R against F, and so the cross term of f0 = (9|F|^2 + |R|^2 -
+    6 Re(F* R)) / 16: below where it reaches 1e3 rad that term is dropped,
+    and its endpoint term, the first of its asymptotic expansion (Iserles &
+    Norsett, Proc. R. Soc. A 461, 1383 (2005)), kept.  The C3 phase at s and
+    both at the far pair (none if d_far is pinned) add Rabi wiggles ~ (pi /
+    phase)^2, resolved to 300 rad.  A spread under 1e-9 of d_hi, or too
+    narrow to tabulate in 1024 panels, leaves ``sigma`` 0: ``mean`` is f0.
     """
-    text = resources.files("rydgate.data").joinpath("hermgauss.txt").read_text("utf-8")
-    rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
-    x = np.array([float(node) for order, node, _ in rows if int(order) == nodes])
-    w = np.array([float(weight) for order, _, weight in rows if int(order) == nodes])
-    if x.size != nodes:
-        raise ValueError(f"no stored Gauss-Hermite rule of order {nodes}")
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+
+    def __init__(self, params: GateParams, scales: Lengthscales, d_lo: float, d_hi: float):
+        self.curve = fidelity_curve(params)
+        self.sigma = math.sqrt(2.0) * params.q * scales.r_b6
+        lo, hi = max(d_lo - _SPAN * self.sigma, 0.0), d_hi + _SPAN * self.sigma
+        if not math.isfinite(hi):
+            raise NumericsError(f"separation spread overflows: sigma = {self.sigma} um")
+        panels = (d_hi - d_lo) / (_PANEL_SIGMA * self.sigma) if self.sigma else math.inf
+        if self.sigma <= _POINT_SPREAD * d_hi or panels > _MAX_PANELS:
+            self.sigma = 0.0
+            return
+        phase = params.pulse_time * TWOPI * 1e9  # rad per GHz um^k / um^k
+        c3, c6 = phase * abs(params.c3_ghz_um3), phase * abs(params.c6_ghz_um6)
+        far3 = DEFAULT_D_FAR_FACTOR**-3 if params.d_far is None else 0.0
+        edges, cut = [hi], None
+        while edges[-1] > lo:
+            u = 1.0 / edges[-1]
+            p3 = c3 * u * u * u  # a phase C_k / s^k winds at k C_k / s^(k+1) rad per um
+            p6 = c6 * (u * u * u) * (u * u * u)
+            if cut is None and p6 >= _CUT_PHASE:
+                cut = len(edges) - 1
+            wiggles = ((3, p3), (3, p3 * far3), (6, p6 * far3 * far3))
+            rate = sum(k * p for k, p in wiggles if p < _WIGGLE_PHASE)
+            rate = u * (rate + (6.0 * p6 if p6 < _CUT_PHASE else 0.0))
+            step = min(_PANEL_SIGMA * self.sigma, _PANEL_PHASE / rate if rate else math.inf)
+            edges.append(max(edges[-1] - step, lo))
+        self.cut = lo if cut is None else edges[cut]
+        tip = [self.cut, self.cut + 1e-2 * (edges[cut - 1] - self.cut)] if cut else []
+        a, b = np.array(edges[:0:-1])[:, None], np.array(edges[-2::-1])[:, None]
+        rules = [((a + b + (b - a) * x) / 2, (b - a) * w / 2) for x, w in map(_legendre, (16, 8))]
+        (self.s, self.w), (self.s8, self.w8) = [(s.ravel(), w.ravel()) for s, w in rules]
+        s = np.concatenate([self.s, self.s8, tip])
+        far, near = self.curve(s, amplitudes=True)
+        beat = np.conj(far) * near
+        f = (9.0 * np.abs(far) ** 2 + np.abs(near) ** 2) / 16.0
+        f -= 0.375 * np.where(s >= self.cut, beat.real, 0.0)
+        self.f, self.f8 = f[: self.s.size], f[self.s.size : self.s.size + self.s8.size]
+        # the dropped cross term is ~ -3/8 g(cut) Im(beat) / psi', psi' = d arg(beat) / ds
+        self.rate = np.angle(beat[-1] * beat[-2].conj()) / (tip[1] - tip[0]) if tip else 0.0
+        self.tail = -0.375 * beat[-2].imag / self.rate if self.rate else 0.0
+
+    def _gauss(self, s, d):
+        return np.exp(-0.5 * ((s - d) / self.sigma) ** 2)
+
+    def mean(self, d):
+        """Averages centred at d, a float or an array."""
+        if not self.sigma:
+            return self.curve(d)
+        g = self.w * self._gauss(self.s, np.asarray(d)[..., None])  # sums, not BLAS threads
+        return ((g * self.f).sum(-1) + self.tail * self._gauss(self.cut, d)) / g.sum(-1)
+
+    def error(self, d: float) -> float:
+        """Estimated error of ``mean(d)``: the 8- against the 16-point sum,
+        plus the next asymptotic term of the dropped cross term."""
+        if not self.sigma:
+            return 0.0
+        g = self.w * self._gauss(self.s, d)
+        error = abs((g * self.f).sum() - (self.w8 * self._gauss(self.s8, d) * self.f8).sum())
+        if self.rate:
+            slope = abs(self.cut - d) / self.sigma**2 + 7.0 / self.cut
+            error += abs(self.tail * self._gauss(self.cut, d) * slope / self.rate)
+        return float(error / g.sum())
 
 
-def _gauss_averages(curve, requests, sigma_um: float) -> list[float]:
-    """Gaussian-weighted means of ``curve`` over separation, s > 0 only.
-
-    ``requests`` is a list of (d11, nodes) pairs, each averaged with its
-    own Gauss-Hermite rule. The curve is called once, on every request's
-    kept nodes joined together; each mean is reduced over its own slice.
-    With no spread (sigma 0) each mean is the curve at d11 itself.
+def site_average(params: GateParams, table: _SiteTable | None = None):
+    """Average f0 over the positional spread of the pair at ``params.d11``:
+    (f0_avg, warnings), warnings non-empty when the error estimate passes
+    1e-6.  Spread per excitation is q * r_b6; the relative coordinate gets
+    sqrt(2) of that.  ``table`` covers d11 (the optimiser's), or is built.
     """
-    if not math.isfinite(sigma_um):
-        raise NumericsError(f"separation spread overflows: sigma = {sigma_um} um")
-    if sigma_um == 0.0:
-        return [float(v) for v in curve(np.asarray([d11 for d11, _ in requests]))]
-    kept = []
-    for d11, nodes in requests:
-        x, w = _hermgauss(nodes)
-        s = d11 + math.sqrt(2.0) * sigma_um * x
-        keep = s > 0.0
-        if not np.any(keep):
-            raise ValueError("separation distribution has no support at s > 0")
-        kept.append((s[keep], w[keep]))
-    vals = curve(np.concatenate([s for s, _ in kept]))
-    means, start = [], 0
-    for _, w in kept:
-        part = vals[start : start + len(w)]
-        means.append(float(np.sum(w * part) / np.sum(w)))
-        start += len(w)
-    return means
-
-
-def site_average(curve, d11: float, r_b6_um: float, q: float):
-    """Average a fidelity curve over the positional spread of the pair.
-
-    ``curve`` maps an array of separations (um) to f0 values.  Spread
-    per excitation is q * r_b6; the relative coordinate gets sqrt(2) of
-    that.  Returns (f0_avg, warnings) where warnings is a tuple of
-    strings, non-empty when doubling the quadrature order moves the
-    result by more than 1e-6.  Both rules are evaluated in one call of
-    the curve.
-    """
-    check_domain("d11", d11)
-    check_domain("q", q)
-    if q > 0.0 and r_b6_um <= 0:
-        raise ValueError("r_b6 must be positive when q > 0")
-    sigma = math.sqrt(2.0) * q * r_b6_um
-    coarse, fine = _gauss_averages(
-        curve, [(d11, SITE_AVERAGE_NODES), (d11, 2 * SITE_AVERAGE_NODES - 1)], sigma
-    )
-    warnings: tuple[str, ...] = ()
-    if abs(fine - coarse) > _CONVERGENCE_TOL:
-        warnings = (
-            f"site average moved by {abs(fine - coarse):.2e} when doubling "
-            f"quadrature order at d11 = {format_fixed(d11, 3)} um",
-        )
-    return fine, warnings
+    d11 = params.d11
+    table = table or _SiteTable(params, params.lengthscales, d11, d11)
+    error = table.error(d11)
+    warning = f"site average uncertain by {error:.2e} at d11 = {format_fixed(d11, 3)} um"
+    return float(table.mean(d11)), (warning,) if error > _CONVERGENCE_TOL else ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,35 +216,25 @@ class AveragedFidelity:
     warnings: tuple[str, ...] = ()
 
 
-def averaged_fidelity(params: GateParams) -> AveragedFidelity:
+def averaged_fidelity(params: GateParams, table: _SiteTable | None = None) -> AveragedFidelity:
     """Positional + motional average of the gate fidelity at ``params.d11``;
-    ValueError when it is None (``optimize_d11`` chooses one)."""
+    ValueError when it is None (``optimize_d11`` chooses one).  ``table``
+    as for ``site_average``."""
     if params.d11 is None:
         raise ValueError("no pair separation: set params.d11 or call optimize_d11")
-    scales = params.lengthscales
-    f0_avg, warnings = site_average(fidelity_curve(params), params.d11, scales.r_b6, params.q)
+    f0_avg, warnings = site_average(params, table)
     if not math.isfinite(f0_avg):
         raise NumericsError(f"site-averaged fidelity is {f0_avg} at d11 = {params.d11:g} um")
     # At q = 0, the w0 -> 0 limit of the dephasing envelope: the transit
     # term t^2/xi^2 diverges and the exponent vanishes.
     eta_m = 1.0
     if params.q > 0.0:
-        eta_m = motional_dephasing(
-            DephasingParams(
-                temperature=params.temperature,
-                mass_kg=params.mass_kg,
-                w0_um=params.q * scales.r_b6,
-                lambda_sw_um=params.lambda_sw,
-                pulse_time=params.pulse_time,
-            )
-        )
+        w0_um = params.q * params.lengthscales.r_b6
+        eta_m = motional_dephasing(DephasingParams(
+            params.temperature, params.mass_kg, w0_um, params.lambda_sw, params.pulse_time
+        ))
     return AveragedFidelity(
-        f0_avg=float(f0_avg),
-        eta_m=float(eta_m),
-        f_total=float(eta_m * f0_avg),
-        d11_used=float(params.d11),
-        coupling_budget=float(params.eta_c**2),
-        warnings=warnings,
+        f0_avg, eta_m, eta_m * f0_avg, float(params.d11), float(params.eta_c**2), warnings
     )
 
 
@@ -216,10 +243,9 @@ def optimize_d11(params: GateParams) -> AveragedFidelity:
 
     Search interval is the operating window [max(r_b6, r_mu), r_b3]
     stretched by [0.8, 1.2]; raises WindowError when that interval is
-    empty.  eta_m does not depend on d11, so the scan maximises f0_avg;
-    a coarse grid seeds a bounded scalar minimisation refined to 1e-3 um.
-    The 25-point coarse grid is one call of the curve; each golden-section
-    probe, which depends on the one before, is one more.
+    empty.  eta_m does not depend on d11, so the search maximises f0_avg:
+    four 25-point grids, each over the two cells around the best point of
+    the one before, find it to 1/41472 of the interval, all on one table.
     """
     scales = params.lengthscales
     lo = 0.8 * scales.window[0]
@@ -230,38 +256,10 @@ def optimize_d11(params: GateParams) -> AveragedFidelity:
             f"(r_b3 = {format_fixed(scales.r_b3, 3)}, r_b6 = {format_fixed(scales.r_b6, 3)}, "
             f"r_mu = {format_fixed(scales.r_mu, 3)})"
         )
-
-    curve = fidelity_curve(params)
-    sigma = math.sqrt(2.0) * params.q * scales.r_b6
-
-    def f0_avg_at(d):
-        return _gauss_averages(curve, [(d, SITE_AVERAGE_NODES)], sigma)[0]
-
-    coarse = np.linspace(lo, hi, 25)
-    coarse_vals = _gauss_averages(curve, [(d, SITE_AVERAGE_NODES) for d in coarse], sigma)
-    k = int(np.argmax(coarse_vals))
-    b_lo = float(coarse[max(k - 1, 0)])
-    b_hi = float(coarse[min(k + 1, len(coarse) - 1)])
-    d_opt = _golden_max(f0_avg_at, b_lo, b_hi, 1e-3)
-    if f0_avg_at(d_opt) < coarse_vals[k]:
-        d_opt = float(coarse[k])
-    return averaged_fidelity(dataclasses.replace(params, d11=d_opt))
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximum of a unimodal f on [lo, hi] to width tol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    table = _SiteTable(params, scales, lo, hi)
+    grid = np.linspace(lo, hi, 25)
+    for _ in range(4):
+        k = int(np.argmax(table.mean(grid)))
+        grid = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, 24)], 25)
+    best = dataclasses.replace(params, d11=float(grid[12]))
+    return averaged_fidelity(best, table if table.sigma else None)

@@ -191,12 +191,13 @@ def fidelity_curve(params: GateParams):
     """F0 = |a00 + a01 + a10 - a11|^2 / 16 as a vectorised function of separation.
 
     The overlap-squared of the evolved equal superposition with the CZ
-    target (|00> + |01> + |10> - |11>) / 2, for averaging kernels.
+    target (|00> + |01> + |10> - |11>) / 2; ``curve(d11, amplitudes=True)``
+    returns the (F, R) it is built from instead (see _far_near).
     """
 
-    def curve(d11):
+    def curve(d11, amplitudes=False):
         with np.errstate(all="ignore"):  # the averaging judges a non-finite value
             far, near = _far_near(params, d11)
-            return np.abs(far + far + far - near) ** 2 / 16.0
+            return (far, near) if amplitudes else np.abs(far + far + far - near) ** 2 / 16.0
 
     return curve

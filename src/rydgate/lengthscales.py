@@ -60,13 +60,18 @@ class MeritPoint:
 
 @dataclasses.dataclass(frozen=True)
 class RadiiPoint:
-    """Radii at one n; None radii mark resonant pairs."""
+    """Radii at one n; None radii mark resonant pairs, ``resonance`` the
+    label of the first near-degenerate channel found."""
 
     n: int
     r_b6_cross_um: float | None
     r_b6_same_um: float | None
     r_b3_um: float
-    resonant: bool
+    resonance: str | None = None
+
+    @property
+    def resonant(self) -> bool:
+        return self.resonance is not None
 
 
 def _power_radius(c_ghz: float, omega: float, k: int) -> float:
@@ -142,13 +147,13 @@ def radii_point(species: AtomSpecies, n: int, omega: float) -> RadiiPoint:
     r_b3 = _power_radius(c3_coefficient(species, control, aux), omega, 3)
 
     radii: dict[str, float | None] = {}
-    resonant = False
+    resonance = None
     for key, partner in (("cross", target), ("same", control)):
         try:
             c6 = c6_coefficient(species, control, partner).c6_ghz_um6
-        except ResonanceError:
+        except ResonanceError as exc:
             radii[key] = None
-            resonant = True
+            resonance = resonance or exc.channel.final.label
         else:
             radii[key] = _power_radius(c6, omega, 6)
     return RadiiPoint(
@@ -156,5 +161,5 @@ def radii_point(species: AtomSpecies, n: int, omega: float) -> RadiiPoint:
         r_b6_cross_um=radii["cross"],
         r_b6_same_um=radii["same"],
         r_b3_um=r_b3,
-        resonant=resonant,
+        resonance=resonance,
     )

@@ -6,7 +6,9 @@ for radii, merit and fidelity, zero or more for forster).  Results are
 kept in input order at any worker count, so output bytes do not depend
 on the process pool.  Per-row failures (resonant channel sums, empty
 operating windows) are recorded in the row and in the run manifest, as
-``error: <Type>: <msg>``, instead of aborting the sweep.
+``error: <Type>: <msg>``, instead of aborting the sweep; a radii or merit
+row whose pair has a near-degenerate channel is flagged, not failed, as
+``resonant: <channel>``.
 
 Unit conventions at this layer: GateParams fields are SI/internal
 (rad/s, K, um); the ``axis_value`` CSV column is written in display
@@ -199,7 +201,7 @@ def _radii_row(args):
         point.r_b3_um,
         point.resonant,
     ]
-    return "ok", [cells]
+    return "ok" if point.resonance is None else f"resonant: {point.resonance}", [cells]
 
 
 def radii_rows(species: AtomSpecies, n_values, omega: float, workers: int = 1):
@@ -212,8 +214,8 @@ def _merit_row(args):
     nan = float("nan")
     try:
         point = figure_of_merit(species, n, temperature)
-    except ResonanceError:
-        return "ok", [[n, nan, nan, True]]
+    except ResonanceError as exc:
+        return f"resonant: {exc.channel.final.label}", [[n, nan, nan, True]]
     except RydgateError as exc:
         return _error_status(exc), [[n, nan, nan, False]]
     return "ok", [[n, point.merit, point.gamma_used, False]]

@@ -5,18 +5,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from rydgate import averaging
 from rydgate.averaging import (
-    SITE_AVERAGE_NODES,
     DephasingParams,
     averaged_fidelity,
     motional_dephasing,
     optimize_d11,
     site_average,
-    _gauss_averages,
-    _golden_max,
-    _hermgauss,
+    _legendre,
 )
 from rydgate.constants import K_BOLTZMANN, TWOPI
 from rydgate.errors import NumericsError, WindowError
@@ -113,90 +111,129 @@ def test_dephasing_monotone_in_temperature_and_time():
 # ---------------------------------------------------------------------------
 # site averaging
 
-def test_site_average_zero_spread_is_identity():
-    value, warnings = site_average(lambda s: np.asarray(s) * 0.3, 10.0, 1.0, 0.0)
-    assert value == pytest.approx(3.0, rel=1e-14)
+
+def _tabulate(monkeypatch, f0):
+    """Every table averages f0(s) instead, through the amplitude route:
+    F = 4 sqrt(f0) / 3 and R = 0 give |3F - R|^2 / 16 = f0."""
+
+    def synthetic_fidelity_curve(params):
+        def curve(s, amplitudes=False):
+            far = 4.0 * np.sqrt(f0(np.asarray(s, dtype=float))) / 3.0 + 0j
+            return (far, 0.0 * far) if amplitudes else np.abs(far) ** 2 * 9.0 / 16.0
+
+        return curve
+
+    monkeypatch.setattr(averaging, "fidelity_curve", synthetic_fidelity_curve)
+
+
+@pytest.mark.parametrize("q", [0.0, 1e-12])
+def test_site_average_without_spread_is_the_curve(species, q):
+    params = _gate_params(species, q=q)
+    assert site_average(params) == (float(fidelity_curve(params)(params.d11)), ())
+
+
+def test_site_average_of_a_constant_is_the_constant(species, monkeypatch):
+    _tabulate(monkeypatch, lambda s: np.full_like(s, 0.77))
+    value, warnings = site_average(_gate_params(species))
+    assert value == pytest.approx(0.77, rel=1e-13)
     assert warnings == ()
 
 
-def test_site_average_constant_curve():
-    value, warnings = site_average(lambda s: np.full_like(s, 0.77), 10.0, 5.0, 0.2)
-    assert value == pytest.approx(0.77, rel=1e-12)
+def test_site_average_of_a_line_and_a_square_is_the_gaussian_moment(species, monkeypatch):
+    # d11 = 30 um is 14 sigma from s = 0, so the Gaussian is untruncated
+    params = _gate_params(species, d11=30.0)
+    sigma = math.sqrt(2.0) * params.q * params.lengthscales.r_b6
+    _tabulate(monkeypatch, lambda s: 0.01 * s)
+    assert site_average(params)[0] == pytest.approx(0.3, rel=1e-13)
+    _tabulate(monkeypatch, lambda s: 1e-3 * s**2)
+    assert site_average(params)[0] == pytest.approx(1e-3 * (30.0**2 + sigma**2), rel=1e-13)
+
+
+def test_site_average_truncates_the_gaussian_at_zero_separation(species, monkeypatch):
+    # at d11 -> 0 the separation is half-normal, with mean sigma sqrt(2 / pi)
+    params = _gate_params(species, d11=1e-300)
+    sigma = math.sqrt(2.0) * params.q * params.lengthscales.r_b6
+    _tabulate(monkeypatch, lambda s: s)
+    assert site_average(params)[0] == pytest.approx(sigma * math.sqrt(2.0 / math.pi), rel=1e-12)
+
+
+def _reference_site_average(params):
+    """f0_avg by composite Simpson rules, on a grid of its own.
+
+    Every phase is resolved at 0.25 rad per step, and the Gaussian at
+    sigma / 20, down to where the C6 phase reaches 3e4 rad.  Below that only
+    (9|F|^2 + |R|^2) / 16 is integrated, with F's phases resolved to 1e4 rad:
+    the cross term there adds about g(s) / (its phase rate), under 1e-8 at
+    the points tested, and the Rabi wiggles of |R|^2 under 1e-7.
+    """
+    d11, curve = params.d11, fidelity_curve(params)
+    sigma = math.sqrt(2.0) * params.q * params.lengthscales.r_b6
+    k = params.pulse_time * TWOPI * 1e9
+    c3, c6 = k * params.c3_ghz_um3, k * abs(params.c6_ghz_um6)
+    cut = (c6 / 3e4) ** (1.0 / 6.0)
+    lo, hi = max(d11 - 8.0 * sigma, 1e-3), d11 + 8.0 * sigma
+    bounds = np.unique(np.clip(np.append(np.geomspace(lo, hi, 400), cut), lo, hi))
+    total = norm = 0.0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        far_phase = c3 / (5.0 * a) ** 3 + c6 / (5.0 * a) ** 6
+        rate = 3.0 * far_phase / a if far_phase < 1e4 else 0.0  # the far pair, at 5 s
+        if b > cut:
+            rate += (3.0 * c3 / a**3 + 6.0 * c6 / a**6) / a
+        steps = 2 * math.ceil(0.5 * (b - a) * max(rate / 0.25, 20.0 / sigma))
+        s = np.linspace(a, b, steps + 1)
+        far, near = curve(s, amplitudes=True)
+        f0 = np.abs(3.0 * far - near) ** 2 / 16.0
+        if b <= cut:
+            f0 = (9.0 * np.abs(far) ** 2 + np.abs(near) ** 2) / 16.0
+        g = np.exp(-0.5 * ((s - d11) / sigma) ** 2)
+        total += scipy.integrate.simpson(g * f0, x=s)
+        norm += scipy.integrate.simpson(g, x=s)
+    return total / norm
+
+
+@pytest.mark.parametrize(
+    "nu_mhz, d11",
+    [(0.0237, 12.3), (5.62, None), (10.0, None)],
+    ids=["0.0237MHz-12.3um", "5.62MHz-optimum", "10MHz-optimum"],
+)
+def test_site_average_matches_an_independent_reference(species, nu_mhz, d11):
+    """The points where the site average is hardest: d11 well inside the
+    van der Waals zone, and the two fastest pulses at their optimum."""
+    params = _gate_params(species, omega_mu=TWOPI * nu_mhz * 1e6, omega_c=TWOPI * 10e6, d11=d11)
+    if d11 is None:
+        params = dataclasses.replace(params, d11=optimize_d11(params).d11_used)
+    value, warnings = site_average(params)
     assert warnings == ()
+    assert value == pytest.approx(_reference_site_average(params), abs=1e-6)
 
 
-def test_site_average_linear_curve_is_centered():
-    # an untruncated Gaussian average of a linear function is its center value
-    value, _ = site_average(lambda s: 0.01 * np.asarray(s), 10.0, 1.0, 0.2)
-    assert value == pytest.approx(0.1, rel=1e-9)
+def test_default_sweep_rows_are_converged(species):
+    """The converged optimum falls smoothly with nu_mu (11.86 um at 5.62
+    MHz), and no row warns."""
+    params = _gate_params(species, d11=None, omega_c=TWOPI * 10e6)
+    rows = [
+        optimize_d11(dataclasses.replace(params, omega_mu=TWOPI * nu * 1e6))
+        for nu in np.geomspace(0.01, 10.0, 25)
+    ]
+    assert [row.warnings for row in rows] == [()] * 25
+    d_opt = [row.d11_used for row in rows]
+    assert all(b < a for a, b in zip(d_opt, d_opt[1:]))
+    assert d_opt[22] == pytest.approx(11.86, abs=0.02)
 
 
-def test_site_average_flags_unresolved_structure():
-    curve = lambda s: np.sin(40.0 * np.asarray(s)) ** 2
-    _, warnings = site_average(curve, 10.0, 5.0, 0.2)
-    assert warnings
-    assert "quadrature" in warnings[0]
+def test_site_average_flags_panels_too_coarse_for_the_phase(species, monkeypatch):
+    monkeypatch.setattr(averaging, "_PANEL_PHASE", 200.0)
+    value, warnings = site_average(_gate_params(species, omega_mu=TWOPI * 0.0237e6, d11=12.3))
+    assert math.isfinite(value)
+    assert warnings and warnings[0].startswith("site average uncertain by")
 
 
-def test_site_average_validation():
-    flat = lambda s: np.ones_like(s)
-    with pytest.raises(ValueError):
-        site_average(flat, 0.0, 1.0, 0.2)
-    with pytest.raises(ValueError):
-        site_average(flat, 10.0, 1.0, -0.2)
-    with pytest.raises(ValueError):
-        site_average(flat, 10.0, 0.0, 0.2)
-
-
-# ---------------------------------------------------------------------------
-# batched Gauss averages against the one-request form
-
-def _gauss_average(curve, d11, sigma_um, nodes):
-    """One request, one curve call: the reference for ``_gauss_averages``."""
-    if sigma_um == 0.0:
-        return float(curve(np.asarray([d11]))[0])
-    x, w = _hermgauss(nodes)
-    s = d11 + math.sqrt(2.0) * sigma_um * x
-    keep = s > 0.0
-    if not np.any(keep):
-        raise ValueError("separation distribution has no support at s > 0")
-    vals = curve(s[keep])
-    return float(np.sum(w[keep] * vals) / np.sum(w[keep]))
-
-
-@pytest.mark.parametrize("sigma", [0.0, 3.1])
-def test_gauss_averages_equal_one_request_form_bitwise(species, sigma):
-    curve = fidelity_curve(_gate_params(species))
-    requests = [(12.0, 41), (12.0, 81), (4.0, 41), (4.0, 81), (19.5, 41)]
-    if sigma:
-        # d11 = 4 um puts some nodes of both rules at s <= 0
-        assert np.any(4.0 + math.sqrt(2.0) * sigma * _hermgauss(41)[0] <= 0.0)
-    want = [_gauss_average(curve, d, sigma, nodes) for d, nodes in requests]
-    assert _gauss_averages(curve, requests, sigma) == want
-
-
-def test_gauss_averages_reject_no_support_before_any_curve_call():
-    calls = []
-
-    def curve(s):
-        calls.append(s)
-        return np.ones_like(s)
-
-    with pytest.raises(ValueError, match="no support"):
-        _gauss_averages(curve, [(10.0, 41), (-50.0, 81)], 1.0)
-    assert calls == []
-
-
-# ---------------------------------------------------------------------------
-# stored Gauss-Hermite rules
-
-@pytest.mark.parametrize("nodes", [SITE_AVERAGE_NODES, 2 * SITE_AVERAGE_NODES - 1])
-def test_stored_rules_hold_numpys_bits(nodes):
-    x, w = _hermgauss(nodes)
-    want_x, want_w = np.polynomial.hermite.hermgauss(nodes)
-    assert x.tobytes() == want_x.tobytes()
-    assert w.tobytes() == want_w.tobytes()
-    assert not x.flags.writeable and not w.flags.writeable
+@pytest.mark.parametrize("n", [8, 16])
+def test_legendre_rule_matches_numpy(n):
+    x, w = _legendre(n)
+    want_x, want_w = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x, want_x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w, want_w, rtol=1e-14)
 
 
 def test_averaging_builds_no_quadrature_rule(species, monkeypatch):
@@ -204,7 +241,7 @@ def test_averaging_builds_no_quadrature_rule(species, monkeypatch):
     from 65 nodes up; the averaging layer reads stored rules instead."""
     params = _gate_params(species)
     want = optimize_d11(params)
-    _hermgauss.cache_clear()
+    _legendre.cache_clear()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the averaging layer built a quadrature rule")
@@ -213,11 +250,6 @@ def test_averaging_builds_no_quadrature_rule(species, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(np.polynomial.hermite, "hermgauss", forbidden)
     assert optimize_d11(params) == want
-
-
-def test_unstored_rule_order_is_refused():
-    with pytest.raises(ValueError, match="order 40"):
-        _hermgauss(40)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +290,20 @@ def test_averaged_fidelity_eta_m_independent_of_d11(species):
     )
 
 
-@pytest.mark.parametrize("overrides", [dict(d11=1e-300), dict(d11=10.0, d_far=1e-300)])
+@pytest.mark.parametrize("overrides", [dict(d11=1e-300, q=0.0), dict(d11=10.0, d_far=1e-300)])
 def test_averaged_fidelity_rejects_a_non_finite_average(species, overrides, recwarn):
     # C3/d^3 overflows; the curve is nan, numpy stays quiet, the average raises
     params = _gate_params(species, **overrides)
     with pytest.raises(NumericsError, match="site-averaged fidelity is nan"):
         averaged_fidelity(params)
     assert not recwarn.list
+
+
+def test_averaged_fidelity_at_zero_separation_is_the_half_gaussian_limit(species):
+    # with a spread, s = d11 = 1e-300 is no node: the average is finite
+    at_zero = averaged_fidelity(_gate_params(species, d11=1e-300))
+    near_zero = averaged_fidelity(_gate_params(species, d11=1e-9))
+    assert at_zero.f0_avg == pytest.approx(near_zero.f0_avg, abs=1e-9)
 
 
 def test_averaged_fidelity_rejects_an_infinite_spread(species):
@@ -330,9 +369,9 @@ def _curve_call_sizes(monkeypatch):
     def counting_fidelity_curve(params):
         curve = build(params)
 
-        def counted(d):
+        def counted(d, **kwargs):
             sizes.append(np.size(d))
-            return curve(d)
+            return curve(d, **kwargs)
 
         return counted
 
@@ -341,46 +380,35 @@ def _curve_call_sizes(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [0.0, 0.2])
-def test_site_average_makes_one_curve_call(species, monkeypatch, q):
+def test_site_average_is_one_curve_call(species, monkeypatch, q):
+    # the table's 16- and 8-point nodes together; f0 itself at q = 0
     sizes = _curve_call_sizes(monkeypatch)
     averaged_fidelity(_gate_params(species, q=q))
     assert len(sizes) == 1
 
 
-@pytest.mark.parametrize("q", [0.0, 0.05])
-def test_optimize_d11_coarse_scan_is_one_curve_call(species, monkeypatch, q):
+def test_optimize_d11_shares_one_table(species, monkeypatch):
+    # every search grid and the average at the optimum are sums over one table
     sizes = _curve_call_sizes(monkeypatch)
-    probes = []
-    golden = averaging._golden_max
-
-    def counting_golden_max(f, lo, hi, tol):
-        return golden(lambda d: probes.append(d) or f(d), lo, hi, tol)
-
-    monkeypatch.setattr(averaging, "_golden_max", counting_golden_max)
-    optimize_d11(_gate_params(species, q=q))
-    # q = 0.05 keeps every node at s > 0, so each stage's point count is exact
-    nodes = 1 if q == 0.0 else SITE_AVERAGE_NODES
-    assert probes
-    assert sizes[0] == 25 * nodes  # the coarse scan
-    assert sizes[1:-1] == [nodes] * (len(probes) + 1)  # each probe, then the check at d_opt
-    assert sizes[-1] == (2 if q == 0.0 else 3 * SITE_AVERAGE_NODES - 1)  # site_average
+    optimize_d11(_gate_params(species))
+    assert len(sizes) == 1 and sizes[0] > 1000
 
 
-# ---------------------------------------------------------------------------
-# scalar maximiser
-
-def test_golden_max_quadratic():
-    f = lambda x: -((x - 3.7) ** 2)
-    assert _golden_max(f, 2.0, 6.0, 1e-4) == pytest.approx(3.7, abs=2e-3)
-
-
-def test_golden_max_bracket_stability():
-    f = lambda x: -((x - 3.7) ** 2)
-    a = _golden_max(f, 2.0, 6.0, 1e-4)
-    b = _golden_max(f, 1.9, 6.3, 1e-4)
-    assert a == pytest.approx(b, abs=2e-3)
+@pytest.mark.parametrize("q", [0.0, 1e-5])
+def test_optimize_d11_without_a_table_searches_the_curve(species, monkeypatch, q):
+    # no spread (q = 0), or one too narrow to tabulate over the window
+    # (q = 1e-5): each search grid is one call, then the average at the optimum
+    sizes = _curve_call_sizes(monkeypatch)
+    best = optimize_d11(_gate_params(species, q=q))
+    assert sizes[:4] == [25] * 4
+    assert len(sizes) == 5 and (sizes[4] == 1) == (q == 0.0)
+    assert best.warnings == ()
 
 
-def test_golden_max_plateau_stays_bracketed():
-    d = _golden_max(lambda x: 1.0, 2.0, 6.0, 1e-4)
-    assert 2.0 <= d <= 6.0
+@pytest.mark.parametrize("nu_mhz", [0.01, 0.3, 10.0])
+def test_optimize_d11_finds_the_maximum_to_1e_3_um(species, nu_mhz):
+    params = _gate_params(species, omega_mu=TWOPI * nu_mhz * 1e6, d11=None)
+    best = optimize_d11(params)
+    for step in (-5e-3, 5e-3):
+        moved = dataclasses.replace(params, d11=best.d11_used + step)
+        assert averaged_fidelity(moved).f0_avg <= best.f0_avg

@@ -176,7 +176,8 @@ def test_fidelity_row_failure_exit_code(tmp_path, capsys):
         (("--q", "1e-300"), 0),
         (("--lambda-sw-um", "1e-300"), 0),
         (("--q", "1e300"), 0),
-        (("--d11", "fixed:1e-300"), 1),
+        (("--d11", "fixed:1e-300"), 0),
+        (("--d11", "fixed:1e-300", "--q", "0"), 1),
         (("--d11", "fixed:10", "--d-far-um", "1e-300"), 1),
     ],
 )
@@ -199,9 +200,11 @@ def test_fidelity_extreme_settings_give_a_row(tmp_path, capfd, argv, code):
 
 
 def test_fidelity_error_row_reports_a_known_window(tmp_path):
-    # the working point is fine; only its site average fails
+    # the working point is fine; only its site average fails: with no
+    # spread, f0 at d11 = 1e-300 is nan
     out = tmp_path / "edge"
-    assert _run("fidelity", "--values", "1", "--d11", "fixed:1e-300", "--out", str(out)) == 1
+    argv = ("--values", "1", "--d11", "fixed:1e-300", "--q", "0")
+    assert _run("fidelity", *argv, "--out", str(out)) == 1
     status = json.loads((out / "fidelity.manifest.json").read_text())["rows"][0]
     assert status.startswith("error: NumericsError")
     header, rows = read_csv(out / "fidelity.csv")

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from rydgate import qdt
+from rydgate.angular import wigner_6j
+from rydgate.constants import ALPHA_FS, K_BOLTZMANN, MAX_L, PLANCK_H
 from rydgate.errors import NumericsError, RydgateError
 from rydgate.levels import RydbergLevel, p_level, parse_level, s_level
 from rydgate.pair import PairState, forster_channels
@@ -24,6 +26,7 @@ from rydgate.qdt import (
     level_energy,
     lifetime,
     radial_matrix_element,
+    radial_matrix_elements,
     radial_wavefunction,
 )
 
@@ -486,3 +489,42 @@ def test_lifetime_beyond_the_floats_is_a_numerics_error(species):
     assert math.isfinite(lifetime(species, s_level(70), 1e300))
     with pytest.raises(NumericsError, match="70S1/2: decay rate overflows"):
         lifetime(species, s_level(70), 1.7976931348623157e308)
+
+
+HARTREE_HZ = 6.579683920502e15  # E_h / h
+AU_TIME_S = 2.4188843265857e-17  # hbar / E_h
+
+
+def _planck_weighted_sum(species, level, temperature):
+    """Blackbody-stimulated rate as the Planck-weighted sum over the model's
+    own dipole elements (Farley & Wing, PRA 23, 2397 (1981)), in 1/s:
+    sum_f A_if nbar(nu_if), A_if = (4/3) alpha^3 w^3 R^2 (2J_f + 1)
+    {J_i J_f 1; L_f L_i 1/2}^2 max(L_i, L_f) in atomic units, over L_f <=
+    MAX_L and n_f from the lowest level of Rb to n + 40."""
+    finals = [
+        RydbergLevel(n, L, J)
+        for L in (level.L - 1, level.L + 1)
+        if 0 <= L <= MAX_L
+        for J in (L - 0.5, L + 0.5)
+        if J > 0
+        for n in range(5 if L < 2 else 4, level.n + 41)
+    ]
+    elements = radial_matrix_elements(species, [(level, f) for f in finals])
+    total = 0.0
+    for final, r in zip(finals, elements):
+        nu = abs(level_energy(species, final) - level_energy(species, level))
+        angular = (2 * final.J + 1) * max(level.L, final.L)
+        angular *= wigner_6j(level.J, final.J, 1, final.L, level.L, 0.5) ** 2
+        a_if = 4.0 / 3.0 * ALPHA_FS**3 * (nu / HARTREE_HZ) ** 3 * r * r * angular / AU_TIME_S
+        total += a_if / math.expm1(PLANCK_H * nu / (K_BOLTZMANN * temperature))
+    return total
+
+
+@pytest.mark.parametrize("level, gap", [(s_level(70), 0.093), (p_level(70, 0.5), 0.135)])
+def test_lifetime_blackbody_formula_against_planck_weighted_sum(species, level, gap):
+    """``lifetime``'s universal form 4 alpha^3 k T / (3 hbar n*^2) assumes k T
+    far above every neighbouring transition. At 300 K and n = 70 it exceeds
+    the Planck-weighted sum over the model's own elements by 9.3% at 70S and
+    13.5% at 70P1/2: a standing gap of the formula, pinned here to +/- 1%."""
+    formula = lifetime(species, level, 300.0) - lifetime(species, level, 0.0)
+    assert formula / _planck_weighted_sum(species, level, 300.0) - 1.0 == pytest.approx(gap, abs=0.01)

@@ -9,7 +9,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from rydgate import sweeps
+from rydgate import averaging, sweeps
 from rydgate.averaging import averaged_fidelity, optimize_d11
 from rydgate.constants import TWOPI
 from rydgate.gate import GateParams
@@ -170,10 +170,11 @@ def test_fidelity_sweep_optimises_an_open_d11(species):
     assert cells["f_total"] == best.f_total
 
 
-def test_fidelity_sweep_reports_quadrature_warnings(species):
-    """At finite q the fringe structure near a poorly chosen separation
-    exceeds what the default quadrature resolves; the row says so but
-    still carries the (approximate) numbers."""
+def test_fidelity_sweep_reports_quadrature_warnings(species, monkeypatch):
+    """Panels too coarse for the fringe structure near the separation leave
+    the site average uncertain; the row says so but still carries the
+    (approximate) numbers."""
+    monkeypatch.setattr(averaging, "_PANEL_PHASE", 200.0)
     fixed = _fixed_params(species, d11=14.0)
     spec = SweepSpec(
         axis="omega_mu",
@@ -182,7 +183,7 @@ def test_fidelity_sweep_reports_quadrature_warnings(species):
     )
     header, table, status = fidelity_sweep(species, spec)
     assert status[0].startswith("warning")
-    assert "quadrature" in status[0]
+    assert "site average uncertain" in status[0]
     cells = dict(zip(header, table[0]))
     assert math.isfinite(cells["f_total"])
     assert cells["window_ok"] is True
@@ -241,7 +242,7 @@ def test_fidelity_sweep_worker_count_invariance(species):
 def test_radii_rows_header_and_flags(species):
     header, table, status = radii_rows(species, [37, 38], TWOPI * 1e6)
     assert header == list(RADII_COLUMNS)
-    assert status == ["ok", "ok"]
+    assert status == ["ok", "resonant: (38P3/2, 38P3/2)"]
     by_n = {row[0]: row for row in table}
     assert math.isnan(by_n[38][1]) and by_n[38][4] is True
     assert by_n[37][1] > 0 and by_n[37][4] is False
@@ -250,7 +251,7 @@ def test_radii_rows_header_and_flags(species):
 def test_merit_rows_resonant_n_gets_nan(species):
     header, table, status = merit_rows(species, [38, 70], 300.0)
     assert header == list(MERIT_COLUMNS)
-    assert status == ["ok", "ok"]
+    assert status == ["resonant: (38P3/2, 38P3/2)", "ok"]
     flagged, clean = table[0], table[1]
     assert flagged[0] == 38 and math.isnan(flagged[1]) and flagged[3] is True
     assert clean[0] == 70 and clean[1] > 0 and clean[3] is False

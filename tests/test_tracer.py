@@ -53,22 +53,22 @@ def test_tracer_finds_every_hook(tmp_path, spec):
     assert summary["rows"] >= 1
 
 
-def test_fidelity_row_evaluates_the_curve_once_per_stage(tmp_path):
-    # One coarse d11 scan, one call per golden-section probe, one site
-    # average: 21 calls. Batching moves no point, so the count stays.
-    # The row averages once, at the optimum.
+def test_fidelity_row_evaluates_the_curve_once(tmp_path):
+    # One table of f0, its 16- and 8-point nodes in one call, serves every
+    # d11 search grid and the average at the optimum. The row averages
+    # once, at the optimum.
     metrics = _trace(tmp_path, ONE_ROW_FIDELITY)["metrics"]
-    assert metrics["gate.curve.points"] == 1687
-    assert metrics["gate.curve.calls"] == 21
+    assert metrics["gate.curve.points"] == 4418
+    assert metrics["gate.curve.calls"] == 1
     assert metrics["averaging.optimize_d11.calls"] == 1
     assert metrics["averaging.averaged_fidelity.calls"] == 1
 
 
 def test_fixed_d11_row_skips_the_optimiser(tmp_path):
-    # A pinned separation is one site average: two Gauss-Hermite rules,
-    # 41 + 81 nodes less those at s <= 0, in one curve call.
+    # A pinned separation is one site average: one table over d11 +/- 8
+    # sigma, in one curve call.
     metrics = _trace(tmp_path, ONE_FIXED_ROW_FIDELITY)["metrics"]
-    assert metrics["gate.curve.points"] == 101
+    assert metrics["gate.curve.points"] == 3578
     assert metrics["gate.curve.calls"] == 1
     assert metrics["averaging.optimize_d11.calls"] == 0
     assert metrics["averaging.averaged_fidelity.calls"] == 1
