@@ -18,6 +18,8 @@ values and computes the rows.  ``_run_command`` does the rest once for all
 four; every number must lie in its ``constants.DOMAINS`` entry.  Parsing,
 settings, the species and every usage check need no numerical module: a
 command imports ``sweeps`` (and with it numpy) only once they have passed.
+So ``main`` runs before OpenBLAS loads, and sets ``OPENBLAS_NUM_THREADS=1``
+unless the caller has set it, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``.
 
 Exit codes: 0 clean, 1 row-level failures recorded in the CSV, 2 usage
 errors (every config file problem among them), 3 a species file that is
@@ -432,7 +434,13 @@ def _run_command(args) -> int:
     return 0
 
 
+_THREAD_VARS = frozenset({"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"})
+
+
 def main(argv=None) -> int:
+    # OpenBLAS's idle pool spins; a caller's thread variable, or a numpy loaded already, wins
+    if "numpy" not in sys.modules and not _THREAD_VARS.intersection(os.environ):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

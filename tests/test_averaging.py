@@ -237,8 +237,9 @@ def test_legendre_rule_matches_numpy(n):
 
 
 def test_averaging_builds_no_quadrature_rule(species, monkeypatch):
-    """Building a rule takes a dense eigensolve, whose BLAS threads wake
-    from 65 nodes up; the averaging layer reads stored rules instead."""
+    """A dense eigensolve wakes the BLAS threads from 65 nodes up; the
+    averaging layer builds its Legendre rule by Newton's method instead,
+    with no eigensolve."""
     params = _gate_params(species)
     want = optimize_d11(params)
     _legendre.cache_clear()

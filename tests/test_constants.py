@@ -1,7 +1,8 @@
 """The physical constants are scipy's CODATA values, written as literals;
 scipy stays off the import path until the first radial integral, and numpy
 until a command has passed its usage checks; the domain table names the
-setting it rejects."""
+setting it rejects; the command line runs OpenBLAS on one thread unless
+its caller has set a thread variable."""
 
 import json
 import math
@@ -128,3 +129,47 @@ def test_scipy_loads_at_the_first_radial_integral():
     assert len(seen["numpy"]) == 7 + len(_BEFORE_PHYSICS)
     assert seen["integrated"]
 
+
+# The same fresh-interpreter rule: OpenBLAS reads its thread variables once,
+# when numpy loads it, and this suite has loaded numpy long before.
+_THREADS_PROBE = r"""
+import ctypes, json, os, sys
+if sys.argv[1] == "numpy first":
+    import numpy
+before = dict(os.environ)
+import rydgate.cli
+code = rydgate.cli.main(["fidelity", "--values", "1", "--out", sys.argv[2]])
+threads = None
+try:
+    with open("/proc/self/maps") as fh:
+        libs = sorted({ln.split()[-1] for ln in fh if "openblas64" in ln and ".so" in ln})
+except OSError:
+    libs = []
+for path in libs:
+    fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+    if fn is not None:
+        fn.argtypes, fn.restype = [], ctypes.c_int
+        threads = fn()
+print(json.dumps({"code": code, "before": before, "after": dict(os.environ), "threads": threads}))
+"""
+
+
+@pytest.mark.parametrize("case", ["fresh", "OMP_NUM_THREADS=2", "numpy first"])
+def test_cli_runs_openblas_on_one_thread_unless_told_otherwise(case, tmp_path):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if case == "OMP_NUM_THREADS=2":
+        env["OMP_NUM_THREADS"] = "2"
+    out = subprocess.run(
+        [sys.executable, "-c", _THREADS_PROBE, case, str(tmp_path)], env=env, check=True,
+        capture_output=True, text=True, timeout=120,
+    )
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen["code"] == 0
+    if case == "fresh":
+        assert seen["after"] == {**seen["before"], "OPENBLAS_NUM_THREADS": "1"}
+        if seen["threads"] is not None:  # numpy's OpenBLAS exports its thread getter
+            assert seen["threads"] == 1
+    else:
+        assert seen["after"] == seen["before"]
