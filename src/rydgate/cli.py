@@ -58,6 +58,15 @@ def _check(name: str, value, label: str):
         raise UsageError(str(exc)) from None
 
 
+MAX_ROWS = 100_000  # far above the 71 rows of the largest documented scan
+
+
+def _check_rows(count: int, label: str) -> None:
+    """Refuse a range of more than ``MAX_ROWS`` rows before it is built."""
+    if count > MAX_ROWS:
+        raise UsageError(f"{label} asks for {count} rows; at most {MAX_ROWS} are allowed")
+
+
 def _parse_n_range(text: str, label: str = "--n") -> list[int]:
     parts = text.split(":")
     try:
@@ -69,6 +78,7 @@ def _parse_n_range(text: str, label: str = "--n") -> list[int]:
     if hi < lo:
         raise UsageError(f"bad n range {text!r}: need lo <= hi")
     _check("n", lo, label)
+    _check_rows(hi - lo + 1, label)
     return list(range(lo, hi + 1))
 
 
@@ -84,6 +94,7 @@ def _parse_axis_values(text: str, axis: str) -> tuple[float, ...]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
             if lo <= 0 or hi <= lo or count < 2:
                 raise ValueError
+            _check_rows(count, "--values")
             step = (math.log10(hi) - math.log10(lo)) / (count - 1)
             values = tuple(10.0 ** (math.log10(lo) + i * step) for i in range(count))
         elif len(parts) == 3:
@@ -91,6 +102,7 @@ def _parse_axis_values(text: str, axis: str) -> tuple[float, ...]:
             if step <= 0 or hi < lo:
                 raise ValueError
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+            _check_rows(count, "--values")
             values = tuple(lo + i * step for i in range(count))
         elif len(parts) == 2 and axis == "n":
             values = tuple(float(v) for v in _parse_n_range(text, "--values"))

@@ -12,18 +12,18 @@ Dipole-coupled pairs (resonant exchange, 1/d^3) and van der Waals pairs
 (1/d^6) are both covered; ``c6_coefficient`` gives the manifold mean of
 the van der Waals shift and ``c6_branches`` its eigen-shifts. Both refuse
 a channel whose defect is below ``RESONANCE_THRESHOLD_HZ``, where the
-second-order sum is meaningless. Each call forms a channel's angular
-factor once per (L, J) class pair, each level's energy once, and takes
-its radial integrals in one request; all of them use the default radial
-grid. ``pair_hamiltonian_shift`` diagonalises the pair Hamiltonian on the
-first shell of dipole-connected states and is the independent
-cross-check for all of them.
+second-order sum is meaningless. A channel sum is one grid over (final
+of a, final of b): each atom's finals are built once, each (L, J) class
+pair's angular factor once, each level's energy once, and the radial
+integrals in one request of one key per final of each atom, on the
+default radial grid. ``pair_hamiltonian_shift`` diagonalises the pair
+Hamiltonian on the first shell of dipole-connected states and is the
+independent cross-check for all of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -126,17 +126,14 @@ def c3_coefficient(
 
 def _dipole_finals(level: RydbergLevel, max_delta_n: int) -> list[RydbergLevel]:
     """Levels dipole-reachable from ``level`` within the n and L (``MAX_L``) truncation."""
-    out = []
-    for l_f in (level.L - 1, level.L + 1):
-        if l_f < 0 or l_f > MAX_L:
-            continue
-        j_values = [j for j in (l_f - 0.5, l_f + 0.5) if valid_j(l_f, j)]
-        for n_f in range(level.n - max_delta_n, level.n + max_delta_n + 1):
-            if n_f < 1 or l_f >= n_f:
-                continue
-            for j_f in j_values:
-                out.append(RydbergLevel(n_f, l_f, j_f))
-    return out
+    return [
+        RydbergLevel(n_f, l_f, j_f)
+        for l_f in (level.L - 1, level.L + 1)
+        if 0 <= l_f <= MAX_L
+        for n_f in range(max(level.n - max_delta_n, l_f + 1), level.n + max_delta_n + 1)
+        for j_f in (l_f - 0.5, l_f + 0.5)
+        if valid_j(l_f, j_f)
+    ]
 
 
 def _orderings(
@@ -146,22 +143,20 @@ def _orderings(
     return [(a, b)] if a == b else [(a, b), (b, a)]
 
 
-def _coupled_finals(
+def _channel_grid(
     a: RydbergLevel, b: RydbergLevel, M: float, max_delta_n: int
-) -> Iterator[tuple[RydbergLevel, RydbergLevel, float]]:
-    """Yield (final_a, final_b, angular_factor) for each non-zero channel out of |a b>.
+) -> tuple[tuple[list[RydbergLevel], list[RydbergLevel]], np.ndarray]:
+    """Each atom's dipole finals out of |a b>, and the angular factor of every
+    (final of a, final of b), zero for a closed channel, as a 2-D array.
 
     The factor depends only on the (L, J) classes of the two finals, so each
-    class pair forms it once.
+    class pair forms it once. Row-major order is final-of-a-major order.
     """
-    factors: dict[tuple, float] = {}
-    for final_a in _dipole_finals(a, max_delta_n):
-        for final_b in _dipole_finals(b, max_delta_n):
-            key = (final_a.L, final_a.J, final_b.L, final_b.J)
-            if key not in factors:
-                factors[key] = angular_factor(a, b, final_a, final_b, M)
-            if factors[key] != 0.0:
-                yield final_a, final_b, factors[key]
+    finals = (_dipole_finals(a, max_delta_n), _dipole_finals(b, max_delta_n))
+    ca, cb = ({(f.L, f.J): f for f in fs} for fs in finals)  # (L, J) -> a final of it
+    index = [[list(c).index((f.L, f.J)) for f in fs] for c, fs in zip((ca, cb), finals)]
+    table = [[angular_factor(a, b, fa, fb, M) for fb in cb.values()] for fa in ca.values()]
+    return finals, np.array(table).reshape(len(ca), len(cb))[np.ix_(*index)]
 
 
 def _channel_key(channel: ForsterChannel) -> tuple:
@@ -180,31 +175,24 @@ def forster_channels(
     degeneracies rank first. Zero-coupling combinations are dropped.
     """
     check_domain("max_delta_n", max_delta_n)
-    finals = list(_coupled_finals(pair.a, pair.b, pair.M, max_delta_n))
-    levels = dict.fromkeys([pair.a, pair.b] + [lv for fa, fb, _ in finals for lv in (fa, fb)])
+    finals, factor = _channel_grid(pair.a, pair.b, pair.M, max_delta_n)
+    atoms = list(zip((pair.a, pair.b), finals))
+    levels = dict.fromkeys([pair.a, pair.b, *finals[0], *finals[1]])
     energy = {lv: level_energy(species, lv) for lv in levels}
-    e_initial = energy[pair.a] + energy[pair.b]
-    radial = radial_matrix_elements(
-        species, [p for fa, fb, _ in finals for p in ((pair.a, fa), (pair.b, fb))]
-    )
-    channels = []
-    for (final_a, final_b, factor), r1, r2 in zip(finals, radial[::2], radial[1::2]):
-        coupling = C3_PREFACTOR_HZ_UM3 * 1e-9 * r1 * r2 * factor
-        if coupling == 0.0:
-            continue
-        defect = energy[final_a] + energy[final_b] - e_initial
-        if defect != 0.0:
-            contribution = coupling * coupling / (-defect * 1e-9)
-        else:
-            contribution = float("inf")
-        channels.append(
-            ForsterChannel(
-                final=PairState(final_a, final_b, pair.M),
-                defect_hz=defect,
-                coupling_ghz_um3=coupling,
-                contribution_ghz_um6=contribution,
-            )
-        )
+    keys = list(dict.fromkeys((initial, f) for initial, fs in atoms for f in fs))
+    radial = dict(zip(keys, radial_matrix_elements(species, keys)))
+    r_a, r_b = (np.array([radial[initial, f] for f in fs]) for initial, fs in atoms)
+    e_a, e_b = (np.array([energy[f] for f in fs]) for fs in finals)
+    coupling = C3_PREFACTOR_HZ_UM3 * 1e-9 * r_a[:, None] * r_b * factor
+    i, k = np.nonzero(coupling)
+    coupling = coupling[i, k]
+    defect = e_a[i] + e_b[k] - (energy[pair.a] + energy[pair.b])
+    with np.errstate(divide="ignore"):  # an exact degeneracy ranks first, as +inf
+        contribution = np.where(defect != 0.0, coupling * coupling / (-defect * 1e-9), np.inf)
+    rows = zip(i.tolist(), k.tolist(), defect.tolist(), coupling.tolist(), contribution.tolist())
+    channels = [
+        ForsterChannel(PairState(finals[0][p], finals[1][q], pair.M), *v) for p, q, *v in rows
+    ]
     channels.sort(key=lambda ch: (-abs(ch.contribution_ghz_um6), _channel_key(ch)))
     return tuple(channels)
 
@@ -302,11 +290,10 @@ def _first_shell_manifolds(
     The order is part of the result: eigh on a permuted basis differs in the last bits.
     """
     initial = _orderings(pair.a, pair.b)
-    finals = [
-        (fa, fb)
-        for a, b in initial
-        for fa, fb, _ in _coupled_finals(a, b, pair.M, max_delta_n)
-    ]
+    finals = []
+    for a, b in initial:
+        (finals_a, finals_b), factor = _channel_grid(a, b, pair.M, max_delta_n)
+        finals += [(finals_a[p], finals_b[q]) for p, q in zip(*np.nonzero(factor))]
     return list(dict.fromkeys(initial + finals))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .averaging import averaged_fidelity, optimize_d11
@@ -125,18 +126,16 @@ def _error_status(exc: RydgateError) -> str:
 def run_indexed(row_func, payloads, workers: int = 1) -> list:
     """Evaluate ``row_func`` over payloads, results in input order.
 
-    Results land in a slot keyed by input index, so worker count and
-    completion order cannot change the output.
+    The pool returns results in input order, so worker count and
+    completion order cannot change the output. It has at most one process
+    per payload and per CPU.
     """
     payloads = list(payloads)
-    if workers <= 1 or len(payloads) <= 1:
+    workers = min(workers, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return [row_func(p) for p in payloads]
-    out: list = [None] * len(payloads)
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-        futures = {pool.submit(row_func, p): i for i, p in enumerate(payloads)}
-        for fut, idx in futures.items():
-            out[idx] = fut.result()
-    return out
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(row_func, payloads))
 
 
 def _run_rows(columns, row_func, payloads, workers: int):

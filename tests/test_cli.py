@@ -14,7 +14,14 @@ from importlib import resources
 import pytest
 
 from rydgate import gate, pair
-from rydgate.cli import _COMMANDS, main
+from rydgate.cli import (
+    _COMMANDS,
+    MAX_ROWS,
+    UsageError,
+    _parse_axis_values,
+    _parse_n_range,
+    main,
+)
 from rydgate.constants import AXES, DOMAINS, check_domain
 from rydgate.sweeps import (
     FIDELITY_COLUMNS,
@@ -360,6 +367,41 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv):
 def test_usage_error_names_its_flag(tmp_path, capsys, argv):
     assert _run(*argv, "--out", str(tmp_path)) == 2
     assert argv[1] in capsys.readouterr().err
+
+
+def test_ranges_up_to_the_row_limit_are_built():
+    assert MAX_ROWS == 100_000
+    assert len(_parse_n_range("2:100001")) == MAX_ROWS
+    assert len(_parse_axis_values("1:100000:1", "q")) == MAX_ROWS
+    assert len(_parse_axis_values("1:10:100000:log", "q")) == MAX_ROWS
+
+
+@pytest.mark.parametrize(
+    "parse, args, rows",
+    [
+        (_parse_n_range, ("2:100002",), "100001"),
+        (_parse_n_range, ("2:10000000000",), "9999999999"),
+        (_parse_axis_values, ("2:100002", "n"), "100001"),
+        (_parse_axis_values, ("1:100001:1", "q"), "100001"),
+        (_parse_axis_values, ("0.01:10:1e-12", "omega_mu"), "9990000000001"),
+        (_parse_axis_values, ("1:10:100001:log", "q"), "100001"),
+        (_parse_axis_values, ("1:10:10000000000:log", "omega_mu"), "10000000000"),
+    ],
+)
+def test_ranges_over_the_row_limit_are_refused_before_they_are_built(parse, args, rows):
+    flag = "--n" if parse is _parse_n_range else "--values"
+    with pytest.raises(UsageError, match=f"^{flag} asks for {rows} rows"):
+        parse(*args)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("radii", "--n", "2:10000000000"), ("fidelity", "--values", "1:10:10000000000:log")],
+)
+def test_oversized_range_exits_2_naming_its_flag(tmp_path, capsys, argv):
+    assert _run(*argv, "--out", str(tmp_path / "fresh")) == 2
+    assert f"{argv[1]} asks for" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_unknown_axis_exits_2(tmp_path, capsys):

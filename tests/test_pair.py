@@ -20,6 +20,7 @@ from rydgate.angular import angular_block, angular_factor, pair_m_states
 from rydgate.errors import ResonanceError, RydgateError
 from rydgate.levels import RydbergLevel, p_level, s_level
 from rydgate.pair import (
+    ForsterChannel,
     PairState,
     _first_shell_manifolds,
     _pair_hamiltonian,
@@ -141,11 +142,71 @@ def test_forster_channels_form_each_channel_once(species, monkeypatch):
     finals = {lv for ch in channels for lv in (ch.final.a, ch.final.b)}
     assert sorted(levels) == sorted(finals | {pair.a, pair.b})
     assert len(calls["radial_matrix_elements"]) == 1
+    # one key per final of each atom: nP1/2 and nP3/2 over n +/- 5, twice
+    ((_, request),) = calls["radial_matrix_elements"]
+    assert len(request) == len(set(request)) == 44
+    assert {final for initial, final in request if initial == pair.a} == {
+        ch.final.a for ch in channels
+    }
 
     calls["radial_matrix_elements"].clear()
     c6_branches(species, s_level(70), s_level(71))
     # one request in forster_channels and one in c6_branches, per ordering
     assert len(calls["radial_matrix_elements"]) == 4
+
+
+def _forster_channels_loop(species, pair, max_delta_n):
+    """The channel sum formed one channel at a time: the oracle for the
+    channel grid, which must give the same channels to the bit."""
+    factors, finals = {}, []
+    for final_a in pair_module._dipole_finals(pair.a, max_delta_n):
+        for final_b in pair_module._dipole_finals(pair.b, max_delta_n):
+            key = (final_a.L, final_a.J, final_b.L, final_b.J)
+            if key not in factors:
+                factors[key] = angular_factor(pair.a, pair.b, final_a, final_b, pair.M)
+            if factors[key] != 0.0:
+                finals.append((final_a, final_b, factors[key]))
+    levels = dict.fromkeys([pair.a, pair.b] + [lv for fa, fb, _ in finals for lv in (fa, fb)])
+    energy = {lv: qdt.level_energy(species, lv) for lv in levels}
+    e_initial = energy[pair.a] + energy[pair.b]
+    radial = qdt.radial_matrix_elements(
+        species, [p for fa, fb, _ in finals for p in ((pair.a, fa), (pair.b, fb))]
+    )
+    channels = []
+    for (final_a, final_b, factor), r1, r2 in zip(finals, radial[::2], radial[1::2]):
+        coupling = C3_PREFACTOR_HZ_UM3 * 1e-9 * r1 * r2 * factor
+        if coupling == 0.0:
+            continue
+        defect = energy[final_a] + energy[final_b] - e_initial
+        if defect != 0.0:
+            contribution = coupling * coupling / (-defect * 1e-9)
+        else:
+            contribution = float("inf")
+        channels.append(
+            ForsterChannel(
+                final=PairState(final_a, final_b, pair.M),
+                defect_hz=defect,
+                coupling_ghz_um3=coupling,
+                contribution_ghz_um6=contribution,
+            )
+        )
+    channels.sort(key=lambda ch: (-abs(ch.contribution_ghz_um6), pair_module._channel_key(ch)))
+    return tuple(channels)
+
+
+@pytest.mark.parametrize("max_delta_n", [0, 2, 5])
+@pytest.mark.parametrize("M", [0.0, 1.0])
+@pytest.mark.parametrize("b", [s_level(71), s_level(70), p_level(70, 0.5)], ids=str)
+def test_forster_channels_match_per_channel_loop(species, b, M, max_delta_n):
+    pair = PairState(s_level(70), b, M)
+    channels = forster_channels(species, pair, max_delta_n)
+    assert channels == _forster_channels_loop(species, pair, max_delta_n)
+    if b.L == 1:
+        # The exchange channel is exactly degenerate: +inf, never -inf from x / -0.0.
+        exchange = channels[0]
+        assert (exchange.final.a, exchange.final.b) == (b, pair.a)
+        assert exchange.defect_hz == 0.0
+        assert exchange.contribution_ghz_um6 == math.inf
 
 
 def test_forster_channels_deterministic(species):

@@ -178,15 +178,16 @@ def _cutoff_patch(original):
 
 def test_failed_request_raises_first_serial_level_and_stores_nothing(species, monkeypatch):
     """Under the patch several levels of one forster_channels request diverge
-    (35P1/2, 32D3/2, 33P1/2, ...). The request names 35P1/2, the first of
-    them when its elements are solved one by one in channel order, and
-    stores nothing, so no element solved under the patch outlives it."""
+    (33P1/2, 35P1/2, 32D3/2, ...). The request names 33P1/2, the first of
+    them when its elements are solved one by one in request order (each
+    final of atom a, then each final of atom b), and stores nothing, so no
+    element solved under the patch outlives it."""
     pair = PairState(s_level(34), p_level(35, 0.5))
     qdt._matrix_element_cached.cache_clear()
     expected = forster_channels(species, pair)
     qdt._matrix_element_cached.cache_clear()
     monkeypatch.setattr(qdt, "_inner_cutoff", _cutoff_patch(qdt._inner_cutoff))
-    with pytest.raises(NumericsError, match=r"^35P1/2: inward solution diverges"):
+    with pytest.raises(NumericsError, match=r"^33P1/2: inward solution diverges"):
         forster_channels(species, pair)
     # Three elements that each fail alone, at 36P3/2, 35P3/2 and 34D3/2,
     # solved in one pass: the first in request order wins.
@@ -209,16 +210,22 @@ def test_matrix_element_cache_counts_each_element_as_one_call(species):
     pair = PairState(s_level(60), s_level(61))
     qdt._matrix_element_cached.cache_clear()
     channels = forster_channels(species, pair)
-    calls = [
-        frozenset(levels)
-        for ch in channels
-        for levels in ((pair.a, ch.final.a), (pair.b, ch.final.b))
-    ]
+    # A cold channel sum asks for each (initial, final) element once.
+    n_finals = len({ch.final.a for ch in channels}) + len({ch.final.b for ch in channels})
+    assert n_finals == 44
+    info = qdt._matrix_element_cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, n_finals, n_finals)
+
+    # Two elements per channel repeat most keys.
+    qdt._matrix_element_cached.cache_clear()
+    request = [p for ch in channels for p in ((pair.a, ch.final.a), (pair.b, ch.final.b))]
+    calls = [frozenset(levels) for levels in request]
     distinct = len(set(calls))
     assert distinct < len(calls)
+    radial_matrix_elements(species, request)
     info = qdt._matrix_element_cached.cache_info()
     assert (info.hits, info.misses, info.currsize) == (len(calls) - distinct, distinct, distinct)
-    forster_channels(species, pair)
+    radial_matrix_elements(species, request)
     radial_matrix_element(species, p_level(60, 0.5), pair.a)
     radial_matrix_element(species, pair.a, p_level(70, 0.5))
     info = qdt._matrix_element_cached.cache_info()

@@ -4,7 +4,8 @@ and the row builders behind each CLI table."""
 import hashlib
 import json
 import math
-from concurrent.futures import Future
+import os
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -107,20 +108,16 @@ def test_run_indexed_preserves_order():
     assert parallel == serial
 
 
-def test_run_indexed_pool_no_larger_than_payloads(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each pool run_indexed starts; its tasks run here."""
     sizes = []
 
-    class InProcessPool:
+    class InProcessPool(Executor):
         """Stands in for ProcessPoolExecutor: records its size, runs each task here."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def submit(self, fn, arg):
             future = Future()
@@ -128,9 +125,26 @@ def test_run_indexed_pool_no_larger_than_payloads(monkeypatch):
             return future
 
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_run_indexed_pool_no_larger_than_payloads(pool_sizes, monkeypatch):
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
     assert run_indexed(math.sqrt, [9.0, 4.0, 1.0], workers=64) == [3.0, 2.0, 1.0]
     assert run_indexed(math.sqrt, [16.0, 9.0, 4.0, 1.0], workers=2) == [4.0, 3.0, 2.0, 1.0]
-    assert sizes == [3, 2]
+    assert pool_sizes == [3, 2]
+
+
+@pytest.mark.parametrize("cpus", [3, 1, None, "host"])
+def test_run_indexed_pool_no_larger_than_the_cpus(pool_sizes, monkeypatch, cpus):
+    """5,000 rows at --workers 5000 start one process per CPU, and none on a
+    host of one CPU or an unknown count."""
+    if cpus != "host":
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+    limit = os.cpu_count() or 1
+    payloads = [float(x) for x in range(5000)]
+    assert run_indexed(math.sqrt, payloads, workers=5000) == [math.sqrt(x) for x in payloads]
+    assert pool_sizes == ([limit] if limit > 1 else [])
 
 
 # ---------------------------------------------------------------------------
