@@ -56,6 +56,8 @@ def _check(name: str, value, label: str):
         return check_domain(name, value, label)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    except OverflowError:  # from math.isfinite, on an integer past the float range
+        raise UsageError(f"{label} must be finite, got an integer too large for a float") from None
 
 
 MAX_ROWS = 100_000  # far above the 71 rows of the largest documented scan

@@ -12,18 +12,20 @@ Dipole-coupled pairs (resonant exchange, 1/d^3) and van der Waals pairs
 (1/d^6) are both covered; ``c6_coefficient`` gives the manifold mean of
 the van der Waals shift and ``c6_branches`` its eigen-shifts. Both refuse
 a channel whose defect is below ``RESONANCE_THRESHOLD_HZ``, where the
-second-order sum is meaningless. A channel sum is one grid over (final
-of a, final of b): each atom's finals are built once, each (L, J) class
-pair's angular factor once, each level's energy once, and the radial
-integrals in one request of one key per final of each atom, on the
-default radial grid. ``pair_hamiltonian_shift`` diagonalises the pair
-Hamiltonian on the first shell of dipole-connected states and is the
-independent cross-check for all of them.
+second-order sum is meaningless. A channel sum reads one grid over
+(final of a, final of b) as arrays: each atom's finals, each (L, J) class
+pair's angular factor and each level's energy are formed once, and the
+radial integrals come in one request. Channel objects are formed only
+where channels are read, and ``InteractionCoefficients.channels`` on first
+read. ``pair_hamiltonian_shift`` diagonalises the pair Hamiltonian on the
+first shell of dipole-connected states and is the independent cross-check
+for all of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -89,10 +91,15 @@ class ForsterChannel:
 
 @dataclasses.dataclass(frozen=True)
 class InteractionCoefficients:
-    """C6 with its channel decomposition, strongest channel first."""
+    """C6 of ``pair``, and its channels, strongest first, formed on first read."""
 
     c6_ghz_um6: float
-    channels: tuple[ForsterChannel, ...]
+    pair: PairState
+    arrays: tuple = dataclasses.field(repr=False, compare=False)
+
+    @functools.cached_property
+    def channels(self) -> tuple[ForsterChannel, ...]:
+        return _channel_objects(self.pair, *self.arrays)
 
 
 def pair_energy(species: AtomSpecies, level_a: RydbergLevel, level_b: RydbergLevel) -> float:
@@ -164,6 +171,43 @@ def _channel_key(channel: ForsterChannel) -> tuple:
     return (fa.n, fa.L, fa.J, fb.n, fb.L, fb.J)
 
 
+def _channels(species: AtomSpecies, pair: PairState, max_delta_n: int) -> tuple:
+    """The channels out of ``pair`` in ``_channel_key`` order: each atom's finals,
+    each channel's final of a and of b (indices), and arrays of K3 * R1 * R2 and the
+    coupling (GHz um^3), the defect (Hz) and the contribution (GHz um^6)."""
+    check_domain("max_delta_n", max_delta_n)
+    finals, factor = _channel_grid(pair.a, pair.b, pair.M, max_delta_n)
+    # Each atom's finals in (n, L, J) order: row-major order is then _channel_key order.
+    order = [sorted(range(len(fs)), key=fs.__getitem__) for fs in finals]
+    finals = tuple([fs[p] for p in o] for fs, o in zip(finals, order))
+    factor = factor[np.ix_(*order)]
+    atoms = list(zip((pair.a, pair.b), finals))
+    levels = dict.fromkeys([pair.a, pair.b, *finals[0], *finals[1]])
+    energy = {lv: level_energy(species, lv) for lv in levels}
+    keys = list(dict.fromkeys((initial, f) for initial, fs in atoms for f in fs))
+    radial = dict(zip(keys, radial_matrix_elements(species, keys)))
+    r_a, r_b = (np.array([radial[initial, f] for f in fs]) for initial, fs in atoms)
+    e_a, e_b = (np.array([energy[f] for f in fs]) for fs in finals)
+    product = C3_PREFACTOR_HZ_UM3 * 1e-9 * r_a[:, None] * r_b
+    coupling = product * factor
+    i, k = np.nonzero(coupling)
+    coupling = coupling[i, k]
+    defect = e_a[i] + e_b[k] - (energy[pair.a] + energy[pair.b])
+    with np.errstate(divide="ignore"):  # an exact degeneracy ranks first, as +inf
+        contribution = np.where(defect != 0.0, coupling * coupling / (-defect * 1e-9), np.inf)
+    return finals, i, k, product[i, k], defect, coupling, contribution
+
+
+def _channel_objects(pair: PairState, finals, i, k, _, *values) -> tuple[ForsterChannel, ...]:
+    """The ``_channels`` of ``pair`` as objects, strongest first."""
+    rows = zip(i.tolist(), k.tolist(), *(v.tolist() for v in values))
+    channels = [
+        ForsterChannel(PairState(finals[0][p], finals[1][q], pair.M), *v) for p, q, *v in rows
+    ]
+    channels.sort(key=lambda ch: (-abs(ch.contribution_ghz_um6), _channel_key(ch)))
+    return tuple(channels)
+
+
 def forster_channels(
     species: AtomSpecies,
     pair: PairState,
@@ -174,27 +218,7 @@ def forster_channels(
     Channels are ranked by |contribution| = coupling^2 / |defect|; exact
     degeneracies rank first. Zero-coupling combinations are dropped.
     """
-    check_domain("max_delta_n", max_delta_n)
-    finals, factor = _channel_grid(pair.a, pair.b, pair.M, max_delta_n)
-    atoms = list(zip((pair.a, pair.b), finals))
-    levels = dict.fromkeys([pair.a, pair.b, *finals[0], *finals[1]])
-    energy = {lv: level_energy(species, lv) for lv in levels}
-    keys = list(dict.fromkeys((initial, f) for initial, fs in atoms for f in fs))
-    radial = dict(zip(keys, radial_matrix_elements(species, keys)))
-    r_a, r_b = (np.array([radial[initial, f] for f in fs]) for initial, fs in atoms)
-    e_a, e_b = (np.array([energy[f] for f in fs]) for fs in finals)
-    coupling = C3_PREFACTOR_HZ_UM3 * 1e-9 * r_a[:, None] * r_b * factor
-    i, k = np.nonzero(coupling)
-    coupling = coupling[i, k]
-    defect = e_a[i] + e_b[k] - (energy[pair.a] + energy[pair.b])
-    with np.errstate(divide="ignore"):  # an exact degeneracy ranks first, as +inf
-        contribution = np.where(defect != 0.0, coupling * coupling / (-defect * 1e-9), np.inf)
-    rows = zip(i.tolist(), k.tolist(), defect.tolist(), coupling.tolist(), contribution.tolist())
-    channels = [
-        ForsterChannel(PairState(finals[0][p], finals[1][q], pair.M), *v) for p, q, *v in rows
-    ]
-    channels.sort(key=lambda ch: (-abs(ch.contribution_ghz_um6), _channel_key(ch)))
-    return tuple(channels)
+    return _channel_objects(pair, *_channels(species, pair, max_delta_n))
 
 
 def c6_coefficient(
@@ -217,18 +241,20 @@ def c6_coefficient(
     ``RESONANCE_THRESHOLD_HZ``, where the perturbative sum is meaningless.
     """
     pair = PairState(level_a, level_b, M)
-    channels = forster_channels(species, pair, max_delta_n)
-    worst = next((ch for ch in channels if abs(ch.defect_hz) < RESONANCE_THRESHOLD_HZ), None)
-    if worst is not None:
+    arrays = _channels(species, pair, max_delta_n)
+    *_, defect, _, contribution = arrays
+    if (np.abs(defect) < RESONANCE_THRESHOLD_HZ).any():
+        channels = _channel_objects(pair, *arrays)
+        worst = next(ch for ch in channels if abs(ch.defect_hz) < RESONANCE_THRESHOLD_HZ)
         raise ResonanceError(
             f"pair {pair.label} has a near-degenerate channel {worst.final.label} "
             f"with defect {worst.defect_hz / 1e6:.3f} MHz; second-order sum is invalid",
             channel=worst,
         )
     total = 0.0
-    for channel in sorted(channels, key=_channel_key):
-        total += channel.contribution_ghz_um6
-    return InteractionCoefficients(c6_ghz_um6=total, channels=channels)
+    for x in contribution.tolist():  # in _channel_key order
+        total += x
+    return InteractionCoefficients(total, pair, arrays)
 
 
 def c6_branches(
@@ -247,10 +273,10 @@ def c6_branches(
 
         H_eff = sum_f V|f><f|V / (E_i - E_f)    (times 1/d^6)
 
-    over the same channels, radial integrals and angular blocks as
-    ``c6_coefficient``; each ordering couples only to its own truncated
-    finals, and a final reached by both orderings couples them. Returns
-    the eigenvalues of H_eff in ascending order. Their mean is the
+    over the channels of ``c6_coefficient``, each coupling its radial product
+    times its class pair's angular block; each ordering couples only to its
+    own truncated finals, and a final reached by both orderings couples them.
+    Returns the eigenvalues of H_eff in ascending order. Their mean is the
     ``c6_coefficient`` value; the branches themselves are the C6 of the
     pair eigenstates (Walker & Saffman, PRA 77, 032723 (2008)). Raises
     ResonanceError under the same guard as ``c6_coefficient``.
@@ -264,19 +290,20 @@ def c6_branches(
     # final pair -> (defect in GHz, coupling rows x initial basis in GHz um^3)
     finals: dict[tuple, tuple[float, np.ndarray]] = {}
     for (a, b), start, stop in zip(orderings, starts, starts[1:]):
-        channels = c6_coefficient(species, a, b, M, max_delta_n=max_delta_n).channels
-        radial = radial_matrix_elements(
-            species, [p for ch in channels for p in ((a, ch.final.a), (b, ch.final.b))]
-        )
-        for ch, r1, r2 in zip(channels, radial[::2], radial[1::2]):
-            block = angular_block(a, b, ch.final.a, ch.final.b, M)
-            key = _channel_key(ch)
-            if key not in finals:
-                finals[key] = (ch.defect_hz * 1e-9, np.zeros((block.shape[0], dim)))
-            finals[key][1][:, start:stop] = C3_PREFACTOR_HZ_UM3 * 1e-9 * r1 * r2 * block
+        coeffs = c6_coefficient(species, a, b, M, max_delta_n=max_delta_n)
+        (finals_a, finals_b), i, k, radial, defect, *_ = coeffs.arrays
+        blocks = {}  # (L, J) class pair -> angular block
+        for p, q, r, e in zip(i.tolist(), k.tolist(), radial.tolist(), defect.tolist()):
+            fa, fb = finals_a[p], finals_b[q]
+            cls = (fa.L, fa.J, fb.L, fb.J)
+            if cls not in blocks:
+                blocks[cls] = angular_block(a, b, fa, fb, M)
+            if (fa, fb) not in finals:
+                finals[fa, fb] = (e * 1e-9, np.zeros((blocks[cls].shape[0], dim)))
+            finals[fa, fb][1][:, start:stop] = r * blocks[cls]
 
     h_eff = np.zeros((dim, dim))
-    for key in sorted(finals):
+    for key in sorted(finals):  # (final of a, final of b): _channel_key order
         defect, coupling = finals[key]
         h_eff += coupling.T @ coupling / -defect
     return tuple(float(x) for x in np.linalg.eigvalsh(h_eff))

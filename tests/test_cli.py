@@ -293,6 +293,8 @@ def test_forster_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # exit-code contract
 
+NINES = "9" * 400  # an integer past the float range
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -328,6 +330,9 @@ def test_forster_numerics_error_fails_the_row(tmp_path, capsys, monkeypatch):
         ("merit", "--n", "1:2"),
         ("forster", "--n", "1"),
         ("fidelity", "--axis", "n", "--values", "1,2"),
+        ("radii", "--n", NINES),
+        ("radii", "--n", "70", "--workers", NINES),
+        ("forster", "--n", "70", "--max-delta-n", NINES),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv):
@@ -362,6 +367,9 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv):
         ("forster", "--threshold-mhz", "-2"),
         ("forster", "--max-delta-n", "-1"),
         ("forster", "--n", "1"),
+        ("radii", "--n", NINES),
+        ("radii", "--workers", NINES),
+        ("forster", "--max-delta-n", NINES),
     ],
 )
 def test_usage_error_names_its_flag(tmp_path, capsys, argv):

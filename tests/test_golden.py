@@ -11,13 +11,17 @@ physics change.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from rydgate.cli import main
+from rydgate.cli import _THREAD_VARS, main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # (case name, argv, artifact suffixes)
 CASES = [
@@ -69,3 +73,24 @@ def test_command_reproduces_golden_manifest_and_stdout(tmp_path, capsys, case, a
     assert isinstance(manifest.pop("wall_clock_s"), float)
     assert manifest["config"].pop("out") == str(tmp_path)
     assert manifest == json.loads((GOLDEN / f"{case}.manifest.json").read_text())
+
+
+# The tests above call main after numpy has loaded, so BLAS keeps its default
+# threads. Only a fresh process, started without a thread variable, runs the
+# one-thread OpenBLAS that the command line sets for itself.
+@pytest.mark.parametrize(
+    "case, argv",
+    [("fidelity", ("fidelity", "--values", "0.1,0.3,1")),
+     ("radii", ("radii", "--n", "60:61", "--workers", "2"))],
+    ids=["fidelity", "radii-workers2"],
+)
+def test_fresh_command_line_process_reproduces_golden_bytes(tmp_path, case, argv):
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "rydgate.cli", *argv, "--out", str(tmp_path)],
+        env=env, check=True, capture_output=True, timeout=120,
+    )
+    for suffix in (".csv", ".svg"):
+        written = (tmp_path / f"{argv[0]}{suffix}").read_bytes()
+        assert written == (GOLDEN / f"{case}{suffix}").read_bytes(), case + suffix

@@ -18,6 +18,7 @@ from rydgate import qdt
 from rydgate.constants import C3_PREFACTOR_HZ_UM3, TWOPI, mhz_to_rad_s
 from rydgate.angular import angular_block, angular_factor, pair_m_states
 from rydgate.errors import ResonanceError, RydgateError
+from rydgate.lengthscales import radii_point
 from rydgate.levels import RydbergLevel, p_level, s_level
 from rydgate.pair import (
     ForsterChannel,
@@ -121,7 +122,7 @@ def test_forster_channels_of_rb_70s_71s(species):
 
 def test_forster_channels_form_each_channel_once(species, monkeypatch):
     """One angular factor per (L, J) class pair, one energy per level and
-    one radial request per call; c6_branches adds one request per ordering."""
+    one radial request per call; c6_branches makes one per ordering."""
     calls = {name: [] for name in ("angular_factor", "level_energy", "radial_matrix_elements")}
 
     def recorded(fn, seen):
@@ -151,8 +152,8 @@ def test_forster_channels_form_each_channel_once(species, monkeypatch):
 
     calls["radial_matrix_elements"].clear()
     c6_branches(species, s_level(70), s_level(71))
-    # one request in forster_channels and one in c6_branches, per ordering
-    assert len(calls["radial_matrix_elements"]) == 4
+    # one request per ordering, shared by its C6 sum and its H_eff
+    assert len(calls["radial_matrix_elements"]) == 2
 
 
 def _forster_channels_loop(species, pair, max_delta_n):
@@ -315,8 +316,85 @@ def test_c6_raises_on_resonance(species, monkeypatch):
     assert math.isfinite(coeffs.c6_ghz_um6)
 
 
+def test_c6_forms_no_channel_object_until_read(species, monkeypatch):
+    """C6, and the radii that rest on it, build only their initial pairs: the
+    channel objects are formed when ``channels`` is first read."""
+    built = {PairState: [], ForsterChannel: []}
+    for cls, seen in built.items():
+        def counting(self, *args, _init=cls.__init__, _seen=seen, **kwargs):
+            _init(self, *args, **kwargs)
+            _seen.append(self)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    coeffs = c6_coefficient(species, s_level(70), s_level(71))
+    assert [(p.a, p.b) for p in built[PairState]] == [(s_level(70), s_level(71))]
+    built[PairState].clear()
+    radii_point(species, 60, mhz_to_rad_s(10.0))
+    assert [(p.a, p.b) for p in built[PairState]] == [
+        (s_level(60), p_level(60, 0.5)),  # C3
+        (s_level(60), s_level(61)),
+        (s_level(60), s_level(60)),
+    ]
+    assert built[ForsterChannel] == []
+    monkeypatch.undo()
+    assert coeffs.channels == forster_channels(species, PairState(s_level(70), s_level(71)))
+    assert len(coeffs.channels) == 484
+
+
 # ---------------------------------------------------------------------------
 # C6 branches of the degenerate pair manifold
+
+
+def _c6_branches_loop(species, level_a, level_b, M, max_delta_n):
+    """H_eff built one channel at a time from channel objects, with one
+    angular block per channel: the oracle for c6_branches, which must give
+    the same eigenvalues to the bit."""
+    orderings = pair_module._orderings(level_a, level_b)
+    starts = [0]
+    for a, b in orderings:
+        starts.append(starts[-1] + len(pair_m_states(a.J, b.J, M)))
+    dim = starts[-1]
+
+    finals = {}
+    for (a, b), start, stop in zip(orderings, starts, starts[1:]):
+        channels = forster_channels(species, PairState(a, b, M), max_delta_n)
+        threshold = pair_module.RESONANCE_THRESHOLD_HZ
+        worst = next((ch for ch in channels if abs(ch.defect_hz) < threshold), None)
+        if worst is not None:
+            raise ResonanceError("near-degenerate channel", channel=worst)
+        radial = qdt.radial_matrix_elements(
+            species, [p for ch in channels for p in ((a, ch.final.a), (b, ch.final.b))]
+        )
+        for ch, r1, r2 in zip(channels, radial[::2], radial[1::2]):
+            block = angular_block(a, b, ch.final.a, ch.final.b, M)
+            key = pair_module._channel_key(ch)
+            if key not in finals:
+                finals[key] = (ch.defect_hz * 1e-9, np.zeros((block.shape[0], dim)))
+            finals[key][1][:, start:stop] = C3_PREFACTOR_HZ_UM3 * 1e-9 * r1 * r2 * block
+
+    h_eff = np.zeros((dim, dim))
+    for key in sorted(finals):
+        defect, coupling = finals[key]
+        h_eff += coupling.T @ coupling / -defect
+    return tuple(float(x) for x in np.linalg.eigvalsh(h_eff))
+
+
+@pytest.mark.parametrize("max_delta_n", [0, 2, 5])
+@pytest.mark.parametrize("M", [0.0, 1.0])
+@pytest.mark.parametrize("b", [s_level(71), s_level(70), p_level(70, 0.5)], ids=str)
+def test_c6_branches_match_per_channel_loop(species, b, M, max_delta_n):
+    a = s_level(70)
+    try:
+        expected = _c6_branches_loop(species, a, b, M, max_delta_n)
+    except ResonanceError as exc:
+        # (70S, 70P1/2) has an exactly degenerate exchange channel.
+        assert b.L == 1
+        with pytest.raises(ResonanceError) as exc_info:
+            c6_branches(species, a, b, M, max_delta_n=max_delta_n)
+        assert exc_info.value.channel == exc.channel
+        assert exc_info.value.channel.final.label == f"({b.label}, {a.label})"
+    else:
+        assert c6_branches(species, a, b, M, max_delta_n=max_delta_n) == expected
 
 
 @pytest.mark.parametrize("n_b, n_branches", [(71, 4), (70, 2)])
